@@ -132,12 +132,9 @@ def run_benchmark(
         "simulation_cache": sim_cache_report,
     }
     if cache_report:
-        # The Krylov evolution path reads the CSC cache, observables the
-        # CSR one — either counts as operator-cache warmth.
-        report["operator_cache_hit_rate"] = max(
-            cache_report["hamiltonian"]["hit_rate"],
-            cache_report["hamiltonian_csc"]["hit_rate"],
-        )
+        report["operator_cache_hit_rate"] = cache_report["hamiltonian"][
+            "hit_rate"
+        ]
     if sim_cache_report:
         report["propagator_cache_hit_rate"] = sim_cache_report[
             "propagator"

@@ -66,7 +66,7 @@ from repro.core import QTurboCompiler
 from repro.hamiltonian import Hamiltonian, parse_hamiltonian
 from repro.models import build_model, model_names
 from repro.sim.operators import operator_cache_stats
-from repro.sim.propagators import simulation_cache_stats
+from repro.sim.propagators import BACKEND_NAMES, simulation_cache_stats
 
 __all__ = ["main", "build_parser"]
 
@@ -201,13 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="simulator RNG seed"
     )
     simulate_cmd.add_argument(
-        "--no-vectorized",
-        action="store_true",
-        help="use the per-realization Krylov loop (baseline path)",
-    )
-    simulate_cmd.add_argument(
         "--backend",
-        choices=("auto", "dense", "sparse", "matrix_free"),
+        choices=BACKEND_NAMES,
         default="auto",
         help="evolution backend; 'auto' picks per segment, "
         "'matrix_free' scales past the operator-materialization cap",
@@ -659,12 +654,7 @@ def _command_batch(args: argparse.Namespace) -> int:
             print(line)
         print(batch.summary())
         if args.verify:
-            # The Krylov evolution path reads the CSC cache; report
-            # whichever operator layer saw the batch's traffic.
-            ham = max(
-                (cache_stats["hamiltonian"], cache_stats["hamiltonian_csc"]),
-                key=lambda stats: stats["hits"] + stats["misses"],
-            )
+            ham = cache_stats["hamiltonian"]
             line = (
                 f"operator cache: {ham['hits']:.0f} hits / "
                 f"{ham['misses']:.0f} misses "
@@ -682,7 +672,7 @@ def _command_batch(args: argparse.Namespace) -> int:
                 f"{propagator['misses']:.0f} misses  fast paths: "
                 f"diagonal {fast['diagonal']}, propagator "
                 f"{fast['propagator']}, dense {fast['dense_build']}, "
-                f"krylov {fast['krylov']}"
+                f"matrix-free {fast['matrix_free']}"
             )
     return 0 if batch.all_succeeded else 1
 
@@ -694,11 +684,6 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
     if args.shots < 1:
         raise CLIUsageError(f"--shots must be >= 1, got {args.shots}")
-    if args.no_vectorized and args.backend != "auto":
-        raise CLIUsageError(
-            "--no-vectorized runs the legacy per-realization sparse-Krylov "
-            "loop and ignores --backend; drop one of the two flags"
-        )
     target = _build_target(args)
     aais = _build_aais(args, target)
     result = QTurboCompiler(aais).compile(target, args.time)
@@ -708,16 +693,13 @@ def _command_simulate(args: argparse.Namespace) -> int:
     simulator = NoisySimulator(
         noise_samples=args.noise_samples,
         seed=args.seed,
-        vectorized=not args.no_vectorized,
         backend=args.backend,
     )
     payload = {
         "workload": result.summary(),
         "shots": args.shots,
         "noise_samples": args.noise_samples,
-        "vectorized": not args.no_vectorized,
-        # The legacy loop is the sparse-Krylov path; record what ran.
-        "backend": "sparse" if args.no_vectorized else args.backend,
+        "backend": args.backend,
     }
     tick = time.perf_counter()
     if args.zne:

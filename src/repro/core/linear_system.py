@@ -202,11 +202,7 @@ class GlobalLinearSystem:
         """The B_sim vector realized by synthesized variables ``alphas``."""
         alpha = np.array([alphas[name] for name in self.channel_names])
         values = self.matrix.dot(alpha)
-        achieved = {}
-        for term, value in zip(self.terms, values):
-            if abs(value) > 1e-15 or True:
-                achieved[term] = float(value)
-        return achieved
+        return {term: float(value) for term, value in zip(self.terms, values)}
 
     def columns(self, names: Sequence[str]) -> sparse.csr_matrix:
         """Sub-matrix of the named channels (refinement's M_c / M_r split)."""

@@ -134,7 +134,6 @@ def _simulation_sections(
         noise=noise,
         noise_samples=sim.noise_samples,
         seed=seed,
-        vectorized=sim.vectorized,
         backend=sim.backend,
     )
     sections: Dict[str, object] = {}

@@ -230,7 +230,7 @@ class SimulationSpec:
     """Noisy Monte-Carlo execution settings (maps to ``NoisySimulator``).
 
     ``backend`` selects the evolution engine
-    (``auto|dense|sparse|matrix_free``); ``auto`` picks per segment and
+    (``auto|dense|matrix_free``); ``auto`` picks per segment and
     ``matrix_free`` forces the Pauli-kernel path that scales past the
     operator-materialization cap (see ``docs/performance.md``).
     """
@@ -238,7 +238,6 @@ class SimulationSpec:
     shots: int = 1000
     noise_samples: int = 20
     seed: int = 0
-    vectorized: bool = True
     periodic: bool = True
     backend: str = "auto"
     noise: Tuple[Tuple[str, object], ...] = ()
@@ -252,7 +251,6 @@ class SimulationSpec:
                 "shots",
                 "noise_samples",
                 "seed",
-                "vectorized",
                 "periodic",
                 "backend",
                 "noise",
@@ -285,7 +283,6 @@ class SimulationSpec:
             shots=shots,
             noise_samples=noise_samples,
             seed=_as_int(section.get("seed", 0), "simulation.seed"),
-            vectorized=bool(section.get("vectorized", True)),
             periodic=bool(section.get("periodic", True)),
             backend=backend,
             noise=_pairs(noise),
@@ -297,7 +294,6 @@ class SimulationSpec:
             "shots": self.shots,
             "noise_samples": self.noise_samples,
             "seed": self.seed,
-            "vectorized": self.vectorized,
             "periodic": self.periodic,
         }
         # The default backend is omitted so pre-existing specs keep
@@ -770,7 +766,6 @@ _SWEEPABLE_EXACT = frozenset(
         "simulation.shots",
         "simulation.noise_samples",
         "simulation.seed",
-        "simulation.vectorized",
         "simulation.periodic",
         "simulation.backend",
         "zne.factors",

@@ -34,7 +34,6 @@ from repro.sim.observables import (
 )
 from repro.sim.operators import (
     hamiltonian_matrix,
-    hamiltonian_matrix_csc,
     number_operator_matrix,
     operator_cache_stats,
     pauli_matrix,
@@ -72,7 +71,6 @@ __all__ = [
     "pauli_matrix",
     "pauli_string_matrix",
     "hamiltonian_matrix",
-    "hamiltonian_matrix_csc",
     "number_operator_matrix",
     "operator_cache_stats",
     "simulation_cache_stats",

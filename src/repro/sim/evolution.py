@@ -7,18 +7,14 @@ state under ``exp(−i H t)`` segment by segment.
 Every ``evolve*`` entry point accepts either a single state vector of
 shape ``(2^N,)`` or a **block** of ``k`` states as a ``(2^N, k)`` matrix
 whose columns evolve independently — one solver call pushes all columns
-at once.  Each segment dispatches to one of four **backends**
-(``backend: auto|dense|sparse|matrix_free``):
+at once.  Each segment dispatches to one of three **backends**
+(``backend: auto|dense|matrix_free``):
 
 * ``dense`` — the 2^N×2^N unitary is built (batched across noise
   realizations) and memoized in the propagator cache; small registers.
-* ``sparse`` — the kron-product CSC matrix plus
-  :func:`scipy.sparse.linalg.expm_multiply`; mid-size registers whose
-  matrix fits the memory budget.  ``method="krylov"`` is the historical
-  alias — the benchmark baseline the fast paths are tested against.
 * ``matrix_free`` — bit-mask Pauli kernels plus a Hermitian Lanczos
   propagator (:mod:`repro.sim.kernels`); no operator is ever
-  materialized, opening registers past the sparse cap.
+  materialized, so it runs at any register size the state fits.
 * ``auto`` — per-segment selection via
   :func:`repro.sim.propagators.select_backend` (Z-only Hamiltonians
   additionally collapse to an elementwise phase multiply at any size).
@@ -30,14 +26,12 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.sparse.linalg import expm_multiply
 
 from repro.errors import SimulationError
 from repro.hamiltonian.expression import Hamiltonian
 from repro.hamiltonian.time_dependent import PiecewiseHamiltonian
 from repro.pulse.schedule import PulseSchedule
 from repro.sim.kernels import expm_multiply_matrix_free
-from repro.sim.operators import hamiltonian_matrix_csc
 from repro.sim.propagators import (
     BACKEND_NAMES,
     batched_propagators,
@@ -60,12 +54,6 @@ __all__ = [
     "evolve_schedule",
     "evolve_schedule_block",
 ]
-
-#: Recognized values of the ``method`` argument (``krylov`` is the
-#: historical alias of the ``sparse`` backend).
-EVOLVE_METHODS = ("auto", "krylov", "dense", "sparse", "matrix_free")
-
-_METHOD_ALIASES = {"krylov": "sparse"}
 
 
 def ground_state(num_qubits: int) -> np.ndarray:
@@ -100,36 +88,11 @@ def _check_state(state: np.ndarray, num_qubits: int) -> np.ndarray:
     return state
 
 
-def _resolve_method(method: str, backend: Optional[str]) -> str:
-    """Merge the legacy ``method`` and the ``backend`` selectors.
-
-    ``backend`` (auto/dense/sparse/matrix_free) wins when given; passing
-    a conflicting non-default ``method`` at the same time is an error so
-    the two spellings can never silently disagree.
-    """
-    if method not in EVOLVE_METHODS:
+def _check_backend(backend: str) -> None:
+    if backend not in BACKEND_NAMES:
         raise SimulationError(
-            f"unknown evolve method {method!r}; expected one of "
-            f"{EVOLVE_METHODS}"
+            f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}"
         )
-    resolved = _METHOD_ALIASES.get(method, method)
-    if backend is not None:
-        if backend not in BACKEND_NAMES:
-            raise SimulationError(
-                f"unknown backend {backend!r}; expected one of "
-                f"{BACKEND_NAMES}"
-            )
-        if resolved not in ("auto", backend):
-            raise SimulationError(
-                f"conflicting selectors: method={method!r} vs "
-                f"backend={backend!r}"
-            )
-        resolved = backend
-    return resolved
-
-
-def _columns(state: np.ndarray) -> int:
-    return 1 if state.ndim == 1 else state.shape[1]
 
 
 def _apply_phase(
@@ -141,26 +104,13 @@ def _apply_phase(
     return state * phase[:, None]
 
 
-def _krylov(
-    state: np.ndarray,
-    hamiltonian: Hamiltonian,
-    duration: float,
-    num_qubits: int,
-    cache: bool,
-) -> np.ndarray:
-    matrix = hamiltonian_matrix_csc(hamiltonian, num_qubits, cache=cache)
-    record_fast_path("krylov", _columns(state))
-    return expm_multiply(-1j * duration * matrix, state)
-
-
 def evolve(
     state: np.ndarray,
     hamiltonian: Hamiltonian,
     duration: float,
     num_qubits: int,
     cache: bool = True,
-    method: str = "auto",
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> np.ndarray:
     """``exp(−i H t) |ψ⟩`` for a constant Hamiltonian.
 
@@ -180,18 +130,14 @@ def evolve(
         ever being hit.  Fast paths still apply, shared per-string
         basis/sign caches still fill, and an already-cached propagator
         is still used.
-    method:
-        ``"auto"`` picks the cheapest path; ``"krylov"`` (alias
-        ``"sparse"``) forces plain ``expm_multiply``; ``"dense"``
+    backend:
+        ``"auto"`` picks the cheapest path per segment
+        (:func:`repro.sim.propagators.select_backend`); ``"dense"``
         forces the dense-propagator path regardless of the size
         thresholds (above ``propagator_max_qubits`` the unitary is
         built but not cached; the configurable operator cap still
         refuses absurd dense builds); ``"matrix_free"`` forces the
         Pauli-kernel Lanczos path at any size.
-    backend:
-        The preferred spelling of the selector
-        (``auto|dense|sparse|matrix_free``); overrides a default
-        ``method`` and conflicts loudly with a non-default one.
     """
     state = _check_state(state, num_qubits)
     if state.ndim == 1:
@@ -201,7 +147,6 @@ def evolve(
             duration,
             num_qubits,
             cache=cache,
-            method=method,
             backend=backend,
         )
         return out[:, 0]
@@ -211,7 +156,6 @@ def evolve(
         duration,
         num_qubits,
         cache=cache,
-        method=method,
         backend=backend,
     )
 
@@ -222,8 +166,7 @@ def evolve_block(
     durations: Union[float, Sequence[float]],
     num_qubits: int,
     cache: bool = False,
-    method: str = "auto",
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> np.ndarray:
     """Evolve column ``i`` of ``states`` under ``hamiltonians[i]``.
 
@@ -231,11 +174,11 @@ def evolve_block(
     pair — one solver call per *distinct* Hamiltonian, not per column —
     then dispatches each group to the selected backend: diagonal phase
     multiply, cached propagator, batched dense ``expm`` (all misses of a
-    segment are assembled and exponentiated together), a blocked Krylov
-    solve on the sparse matrix, or the matrix-free Pauli-kernel Lanczos
-    propagator.  Only the paths that *materialize* an operator are
-    subject to the operator-layer size cap; the diagonal and
-    matrix-free paths scale to any register the state itself fits.
+    segment are assembled and exponentiated together), or the
+    matrix-free Pauli-kernel Lanczos propagator.  Only the dense path
+    *materializes* an operator and is subject to the operator-layer
+    size cap; the diagonal and matrix-free paths scale to any register
+    the state itself fits.
 
     Parameters
     ----------
@@ -251,9 +194,9 @@ def evolve_block(
         memoized.  Defaults to False because block callers typically
         evolve one-shot noise realizations.
     backend:
-        ``auto|dense|sparse|matrix_free`` — see :func:`evolve`.
+        ``auto|dense|matrix_free`` — see :func:`evolve`.
     """
-    resolved = _resolve_method(method, backend)
+    _check_backend(backend)
     states = _check_state(states, num_qubits)
     if states.ndim != 2:
         raise SimulationError(
@@ -306,22 +249,23 @@ def evolve_block(
             out[:, cols] = block
             continue
         choice = (
-            select_backend(hamiltonian, num_qubits, len(cols), cache)
-            if resolved == "auto"
-            else resolved
+            select_backend(hamiltonian, num_qubits)
+            if backend == "auto"
+            else backend
         )
         if choice == "diagonal":
             record_fast_path("diagonal", len(cols))
             diagonal = diagonal_vector(hamiltonian, num_qubits, cache=cache)
             out[:, cols] = _apply_phase(block, diagonal, duration)
-        elif choice == "dense":
+            continue
+        if choice == "dense":
             # A miss can only be followed by a store when a dense build
             # is allowed AND the caller permits caching; otherwise probe
             # without stats so guaranteed misses (one-shot noise
             # realizations, oversized registers) don't dilute the
             # cache's hit rate.
             buildable = (
-                resolved == "dense"
+                backend == "dense"
                 or num_qubits <= propagator_build_max_qubits()
             )
             unitary = cached_propagator(
@@ -333,31 +277,25 @@ def evolve_block(
             if unitary is not None:
                 record_fast_path("propagator", len(cols))
                 out[:, cols] = unitary @ block
-            elif buildable:
+                continue
+            if buildable:
                 dense_pending.append((hamiltonian, duration, cols))
-            else:
-                out[:, cols] = _krylov(
-                    block, hamiltonian, duration, num_qubits, cache
-                )
-        elif choice == "matrix_free":
-            record_fast_path("matrix_free", len(cols))
-            # Wide blocks go through in column chunks so the propagator
-            # working set (several block-sized buffers) honors the same
-            # memory budget the backend selector plans against.
-            chunk = matrix_free_block_columns(num_qubits)
-            for start in range(0, len(cols), chunk):
-                sub = cols[start : start + chunk]
-                out[:, sub] = expm_multiply_matrix_free(
-                    hamiltonian,
-                    states[:, sub],
-                    duration,
-                    num_qubits,
-                    cache=cache,
-                    max_krylov=matrix_free_krylov_dim(num_qubits),
-                )
-        else:
-            out[:, cols] = _krylov(
-                block, hamiltonian, duration, num_qubits, cache
+                continue
+            # A miss above the build threshold goes matrix-free.
+        record_fast_path("matrix_free", len(cols))
+        # Wide blocks go through in column chunks so the propagator
+        # working set (several block-sized buffers) honors the same
+        # memory budget the matrix-free path plans against.
+        chunk = matrix_free_block_columns(num_qubits)
+        for start in range(0, len(cols), chunk):
+            sub = cols[start : start + chunk]
+            out[:, sub] = expm_multiply_matrix_free(
+                hamiltonian,
+                states[:, sub],
+                duration,
+                num_qubits,
+                cache=cache,
+                max_krylov=matrix_free_krylov_dim(num_qubits),
             )
 
     if dense_pending:
@@ -382,8 +320,7 @@ def evolve_piecewise(
     state: np.ndarray,
     target: PiecewiseHamiltonian,
     num_qubits: int,
-    method: str = "auto",
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> np.ndarray:
     """Chain :func:`evolve` across all segments of a piecewise target.
 
@@ -395,7 +332,6 @@ def evolve_piecewise(
             segment.hamiltonian,
             segment.duration,
             num_qubits,
-            method=method,
             backend=backend,
         )
     return state
@@ -405,8 +341,7 @@ def evolve_schedule(
     state: np.ndarray,
     schedule: PulseSchedule,
     value_overrides: Optional[Sequence[dict]] = None,
-    method: str = "auto",
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> np.ndarray:
     """Evolve under the simulator Hamiltonian of a compiled schedule.
 
@@ -422,8 +357,6 @@ def evolve_schedule(
         Optional per-segment variable overrides (used by the noise model
         to inject control errors); each entry updates that segment's
         variable assignment before the Hamiltonian is built.
-    method:
-        Evolution method forwarded to :func:`evolve`.
     backend:
         Backend selector forwarded to :func:`evolve`.
     """
@@ -444,7 +377,6 @@ def evolve_schedule(
             segment.duration,
             num_qubits,
             cache=cache,
-            method=method,
             backend=backend,
         )
     return state
@@ -454,8 +386,7 @@ def evolve_schedule_block(
     states: np.ndarray,
     schedule: PulseSchedule,
     value_overrides: Optional[Sequence[Sequence[dict]]] = None,
-    method: str = "auto",
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> np.ndarray:
     """Evolve ``k`` noise realizations of one schedule as a column block.
 
@@ -483,7 +414,7 @@ def evolve_schedule_block(
         )
     if value_overrides is None:
         return evolve_schedule(
-            states, schedule, method=method, backend=backend
+            states, schedule, backend=backend
         )
     k = states.shape[1]
     if len(value_overrides) != k:
@@ -513,7 +444,6 @@ def evolve_schedule_block(
             segment.duration,
             num_qubits,
             cache=False,
-            method=method,
             backend=backend,
         )
     return states

@@ -19,9 +19,7 @@ drawn up front with array-shaped RNG calls, evolved together as a
 ``(2^N, k)`` state block via :func:`repro.sim.evolution
 .evolve_schedule_block` (one solver call per *distinct* Hamiltonian per
 segment instead of one per realization), and corrupted with a single
-batched relaxation/readout pass over the stacked shot array.  The
-pre-vectorization per-realization loop survives behind
-``vectorized=False`` as the benchmark baseline.
+batched relaxation/readout pass over the stacked shot array.
 """
 
 from __future__ import annotations
@@ -34,11 +32,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.pulse.schedule import PulseSchedule
 from repro.testing.faults import fault_point
-from repro.sim.evolution import (
-    evolve_schedule,
-    evolve_schedule_block,
-    ground_state,
-)
+from repro.sim.evolution import evolve_schedule_block, ground_state
 from repro.sim.sampling import (
     apply_readout_error,
     sample_bitstrings,
@@ -115,20 +109,10 @@ class NoisySimulator:
     seed:
         Default RNG seed (used when ``run`` is not handed an explicit
         generator).
-    vectorized:
-        True (default) evolves all realizations as one state block with
-        the fast-path engine; False reproduces the pre-vectorization
-        per-realization Krylov loop (benchmark baseline).  Both paths
-        draw identical realizations and consume measurement randomness
-        identically, so with equal states they yield equal samples.
     backend:
-        Evolution backend for the vectorized path
-        (``auto|dense|sparse|matrix_free``, see
+        Evolution backend (``auto|dense|matrix_free``, see
         :mod:`repro.sim.evolution`).  ``auto`` picks per segment from
-        the register size, term structure and memory budget —
-        ``matrix_free`` is what opens 16–22-qubit Monte-Carlo runs.
-        The ``vectorized=False`` baseline loop deliberately ignores it
-        (it *is* the sparse-Krylov reference).
+        the register size and term structure.
     """
 
     def __init__(
@@ -136,7 +120,6 @@ class NoisySimulator:
         noise: NoiseParameters = None,
         noise_samples: int = 20,
         seed: int = 0,
-        vectorized: bool = True,
         backend: str = "auto",
     ):
         if noise_samples < 1:
@@ -151,7 +134,6 @@ class NoisySimulator:
         self.noise = noise if noise is not None else aquila_noise()
         self.noise_samples = int(noise_samples)
         self.seed = int(seed)
-        self.vectorized = bool(vectorized)
         self.backend = backend
 
     # ------------------------------------------------------------------
@@ -212,25 +194,14 @@ class NoisySimulator:
         overrides: Sequence[Sequence[Dict[str, float]]],
     ) -> np.ndarray:
         """Final states of all realizations as a ``(2^N, k)`` block."""
-        num_qubits = schedule.aais.num_sites
-        k = len(overrides)
-        if self.vectorized:
-            initial = np.repeat(
-                ground_state(num_qubits)[:, None], k, axis=1
-            )
-            return evolve_schedule_block(
-                initial, schedule, overrides, backend=self.backend
-            )
-        columns = [
-            evolve_schedule(
-                ground_state(num_qubits),
-                schedule,
-                value_overrides=list(overrides[g]),
-                method="krylov",
-            )
-            for g in range(k)
-        ]
-        return np.stack(columns, axis=1)
+        initial = np.repeat(
+            ground_state(schedule.aais.num_sites)[:, None],
+            len(overrides),
+            axis=1,
+        )
+        return evolve_schedule_block(
+            initial, schedule, overrides, backend=self.backend
+        )
 
     def _sample_and_corrupt(
         self,

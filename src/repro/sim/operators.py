@@ -5,10 +5,9 @@ Qubit 0 is the most significant bit of the computational-basis index
 :mod:`repro.sim.sampling`.  Operators are built as CSR matrices via
 Kronecker products of 2×2 factors.
 
-Matrix construction is a hot path: every ``evolve*`` call realizes its
-Hamiltonian, and batch workloads (:mod:`repro.batch`) compile and verify
-many structurally identical targets.  Both Pauli-string and full
-Hamiltonian matrices are therefore memoized in process-wide LRU caches
+Observables and verification realize Hamiltonians repeatedly, and batch
+workloads (:mod:`repro.batch`) compile and verify many structurally
+identical targets.  Both Pauli-string and full Hamiltonian matrices are therefore memoized in process-wide LRU caches
 keyed on the stable canonical keys of
 :meth:`repro.hamiltonian.pauli.PauliString.canonical_key` and
 :meth:`repro.hamiltonian.expression.Hamiltonian.canonical_key`.  Cache
@@ -33,7 +32,6 @@ __all__ = [
     "pauli_matrix",
     "pauli_string_matrix",
     "hamiltonian_matrix",
-    "hamiltonian_matrix_csc",
     "number_operator_matrix",
     "MatrixCache",
     "operator_cache_stats",
@@ -52,8 +50,8 @@ _SINGLE: Dict[str, np.ndarray] = {
 
 #: Default register size above which *materializing* an operator matrix
 #: is refused.  The limit is configurable at runtime via
-#: :func:`configure_operator_limits`; it only guards the sparse/dense
-#: layers — the matrix-free kernels of :mod:`repro.sim.kernels` never
+#: :func:`configure_operator_limits`; it only guards the layers that
+#: build a matrix — the matrix-free kernels of :mod:`repro.sim.kernels` never
 #: build a matrix and are not subject to it.
 MAX_QUBITS = 16
 
@@ -124,9 +122,9 @@ class MatrixCache:
     def peek(self, key: object) -> Optional[object]:
         """Read a value without touching statistics or LRU order.
 
-        For read-through probes by sibling caches (e.g. the CSC cache
-        checking for an already-built CSR form) that must not distort
-        this cache's hit/miss accounting.
+        For probes that cannot follow a miss with a store (e.g. the
+        propagator cache above its build threshold) and must not
+        distort this cache's hit/miss accounting.
         """
         with self._lock:
             return self._data.get(key)
@@ -171,7 +169,6 @@ class MatrixCache:
 
 _string_cache = MatrixCache(DEFAULT_STRING_CACHE_SIZE)
 _hamiltonian_cache = MatrixCache(DEFAULT_HAMILTONIAN_CACHE_SIZE)
-_csc_cache = MatrixCache(DEFAULT_HAMILTONIAN_CACHE_SIZE)
 
 
 def operator_cache_stats() -> Dict[str, Dict[str, float]]:
@@ -179,7 +176,6 @@ def operator_cache_stats() -> Dict[str, Dict[str, float]]:
     return {
         "pauli_string": _string_cache.stats(),
         "hamiltonian": _hamiltonian_cache.stats(),
-        "hamiltonian_csc": _csc_cache.stats(),
     }
 
 
@@ -187,22 +183,18 @@ def clear_operator_cache() -> None:
     """Empty all operator caches and reset their statistics."""
     _string_cache.clear()
     _hamiltonian_cache.clear()
-    _csc_cache.clear()
 
 
 def configure_operator_cache(
     string_maxsize: Optional[int] = None,
     hamiltonian_maxsize: Optional[int] = None,
-    csc_maxsize: Optional[int] = None,
 ) -> None:
     """Resize the operator caches (clears the resized cache)."""
-    global _string_cache, _hamiltonian_cache, _csc_cache
+    global _string_cache, _hamiltonian_cache
     if string_maxsize is not None:
         _string_cache = MatrixCache(string_maxsize)
     if hamiltonian_maxsize is not None:
         _hamiltonian_cache = MatrixCache(hamiltonian_maxsize)
-    if csc_maxsize is not None:
-        _csc_cache = MatrixCache(csc_maxsize)
 
 
 def pauli_matrix(label: str) -> np.ndarray:
@@ -293,42 +285,6 @@ def hamiltonian_matrix(
         if cache:
             _hamiltonian_cache.put(key, cached)
     return cached.copy() if copy else cached
-
-
-def hamiltonian_matrix_csc(
-    hamiltonian: Hamiltonian,
-    num_qubits: int,
-    cache: bool = True,
-) -> sparse.csc_matrix:
-    """The CSC form of :func:`hamiltonian_matrix`, memoized separately.
-
-    ``expm_multiply`` wants CSC; converting the cached CSR matrix on
-    every ``evolve`` call threw away the benefit of a cache hit, so the
-    converted form gets its own LRU.  The returned matrix is shared —
-    callers must not mutate it (scalar multiplication, as in
-    ``-1j * t * matrix``, allocates a fresh matrix and is safe).
-    """
-    _check_size(num_qubits)
-    key = (hamiltonian.canonical_key(), num_qubits)
-    if cache:
-        cached = _csc_cache.get(key)
-        if cached is not None:
-            return cached
-    # Read through to an already-warm CSR entry (one .tocsc() away) but
-    # never *store* the CSR intermediate: the evolution path only ever
-    # reads the CSC entry, so writing both forms would keep two copies
-    # of every evolved Hamiltonian (the CSR cache stays reserved for
-    # the observables path, which reads it directly).  peek() keeps the
-    # probe out of the CSR hit/miss statistics.
-    csr = _hamiltonian_cache.peek(key) if cache else None
-    if csr is None:
-        csr = hamiltonian_matrix(
-            hamiltonian, num_qubits, copy=False, cache=False
-        )
-    csc = csr.tocsc()
-    if cache:
-        _csc_cache.put(key, csc)
-    return csc
 
 
 def number_operator_matrix(qubit: int, num_qubits: int) -> sparse.csr_matrix:

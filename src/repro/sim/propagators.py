@@ -1,7 +1,10 @@
-"""Fast-path propagators for the vectorized simulation engine.
+"""Backend selection and dense fast paths of the simulation engine.
 
-Three mechanisms let the hot Monte-Carlo/ZNE loop bypass the generic
-Krylov solver (:func:`scipy.sparse.linalg.expm_multiply`):
+:func:`select_backend` picks one of three evolution backends per
+segment: ``diagonal`` (all-Z Hamiltonians, any size), ``dense`` (small
+registers) and ``matrix_free`` (the Pauli-kernel Lanczos propagator of
+:mod:`repro.sim.kernels`, everything else).  Three mechanisms make the
+first two cheap in the hot Monte-Carlo/ZNE loop:
 
 * **diagonal evolution** — a Hamiltonian whose every term is built from
   Z operators (detuning-only Rydberg segments, vdW interactions, Ising
@@ -42,7 +45,6 @@ from repro.sim.operators import (
     _SINGLE,
     MatrixCache,
     _check_size,
-    max_operator_qubits,
 )
 
 __all__ = [
@@ -57,7 +59,6 @@ __all__ = [
     "propagator_max_qubits",
     "propagator_build_max_qubits",
     "select_backend",
-    "sparse_matrix_bytes",
     "matrix_free_block_columns",
     "matrix_free_krylov_dim",
     "memory_budget_bytes",
@@ -77,31 +78,17 @@ DEFAULT_DENSE_STRING_CACHE_SIZE = 2048
 #: a 2^N × 2^N unitary stops paying for itself around N = 10.
 DEFAULT_PROPAGATOR_MAX_QUBITS = 10
 
-#: Dense ``expm`` is only *built* on a cache miss up to this size —
-#: measured on this codebase, dense Padé beats one Krylov solve for
-#: N ≤ 7 (and beats a 20-column block solve by an order of magnitude);
-#: above that a miss falls back to ``expm_multiply`` and only cache
-#: *hits* use the dense path.
+#: Dense ``expm`` is only *built* on a cache miss up to this size;
+#: above it a miss goes matrix-free and only cache *hits* use the
+#: dense path.
 DEFAULT_PROPAGATOR_BUILD_MAX_QUBITS = 7
 
-#: Working-set budget (bytes) the auto backend selector plans against:
-#: a segment whose sparse CSR/CSC realization would not fit goes
-#: matrix-free instead of materializing the matrix.
+#: Working-set budget (bytes) of the matrix-free path: it sizes the
+#: Krylov basis and the column chunks of wide blocks.
 DEFAULT_MEMORY_BUDGET_BYTES = 512 * 2**20
 
-#: One-shot (uncached) Hamiltonians of at least this many qubits skip
-#: the sparse path even when the matrix would fit: the per-realization
-#: kron-product assembly dominates, and the matrix-free kernels reuse
-#: their structure across realizations instead.
-DEFAULT_MATRIX_FREE_MIN_QUBITS = 12
-
-#: Wide same-Hamiltonian blocks amortize one sparse build across all
-#: columns, while the Lanczos propagator pays per column — above this
-#: width auto prefers sparse (when it fits the budget).
-DEFAULT_MATRIX_FREE_MAX_COLUMNS = 32
-
 #: The selectable evolution backends (``auto`` resolves per segment).
-BACKEND_NAMES = ("auto", "dense", "sparse", "matrix_free")
+BACKEND_NAMES = ("auto", "dense", "matrix_free")
 
 _propagator_cache = MatrixCache(DEFAULT_PROPAGATOR_CACHE_SIZE)
 _diagonal_cache = MatrixCache(DEFAULT_DIAGONAL_CACHE_SIZE)
@@ -111,8 +98,6 @@ _limits = {
     "propagator_max_qubits": DEFAULT_PROPAGATOR_MAX_QUBITS,
     "propagator_build_max_qubits": DEFAULT_PROPAGATOR_BUILD_MAX_QUBITS,
     "memory_budget_bytes": DEFAULT_MEMORY_BUDGET_BYTES,
-    "matrix_free_min_qubits": DEFAULT_MATRIX_FREE_MIN_QUBITS,
-    "matrix_free_max_columns": DEFAULT_MATRIX_FREE_MAX_COLUMNS,
 }
 
 
@@ -121,6 +106,8 @@ class _FastPathCounters:
 
     __slots__ = ("_lock", "_counts")
 
+    # No path records ``krylov`` any more; it stays as a counter that
+    # reads 0 because benchmark traces index all five names.
     _NAMES = (
         "diagonal",
         "propagator",
@@ -166,18 +153,8 @@ def propagator_build_max_qubits() -> int:
 
 
 def memory_budget_bytes() -> int:
-    """The working-set budget the auto backend selector plans against."""
+    """The working-set budget the matrix-free path plans against."""
     return _limits["memory_budget_bytes"]
-
-
-def sparse_matrix_bytes(hamiltonian: Hamiltonian, num_qubits: int) -> int:
-    """Estimated bytes of the CSR/CSC realization of ``hamiltonian``.
-
-    Each Pauli string contributes exactly ``2^N`` nonzeros; the union
-    over terms is an upper bound (overlapping supports only shrink it).
-    20 bytes per nonzero covers complex data plus int32 indices.
-    """
-    return hamiltonian.num_terms * (1 << num_qubits) * 20
 
 
 def matrix_free_block_columns(num_qubits: int) -> int:
@@ -205,44 +182,21 @@ def matrix_free_krylov_dim(num_qubits: int) -> int:
     return int(max(8, min(DEFAULT_MAX_KRYLOV_DIM, affordable)))
 
 
-def select_backend(
-    hamiltonian: Hamiltonian,
-    num_qubits: int,
-    columns: int = 1,
-    cache: bool = True,
-) -> str:
-    """Pick the cheapest evolution path for one ``(H, block)`` segment.
+def select_backend(hamiltonian: Hamiltonian, num_qubits: int) -> str:
+    """Pick the evolution path for one segment.
 
-    The decision reads the term structure (all-Z Hamiltonians are a
-    phase multiply), the register size, the block width, and the
-    configured memory budget:
-
-    * ``diagonal`` — every term is Z-only, at any size;
-    * ``dense``   — N ≤ :func:`propagator_max_qubits`; the 2^N×2^N
+    * ``diagonal`` — every term is Z-only, at any size (a phase
+      multiply);
+    * ``dense`` — N ≤ :func:`propagator_max_qubits`; the 2^N×2^N
       unitary is cheap and cacheable;
-    * ``matrix_free`` — the sparse matrix would blow the budget (or the
-      operator cap), or the Hamiltonian is one-shot (``cache=False``) on
-      a large register where per-realization kron assembly dominates
-      and the block is narrow enough that per-column Lanczos wins;
-    * ``sparse``  — otherwise: a cached CSC + ``expm_multiply``.
+    * ``matrix_free`` — otherwise: Pauli kernels plus Lanczos, no
+      operator ever materialized.
     """
     if is_diagonal_hamiltonian(hamiltonian):
         return "diagonal"
     if num_qubits <= _limits["propagator_max_qubits"]:
         return "dense"
-    if (
-        num_qubits > max_operator_qubits()
-        or sparse_matrix_bytes(hamiltonian, num_qubits)
-        > _limits["memory_budget_bytes"]
-    ):
-        return "matrix_free"
-    if (
-        not cache
-        and num_qubits >= _limits["matrix_free_min_qubits"]
-        and columns <= _limits["matrix_free_max_columns"]
-    ):
-        return "matrix_free"
-    return "sparse"
+    return "matrix_free"
 
 
 # ----------------------------------------------------------------------
@@ -454,9 +408,9 @@ def simulation_cache_stats() -> Dict[str, object]:
 
     ``fast_paths`` counts evolved state *columns* per mechanism:
     ``diagonal`` (phase multiply), ``propagator`` (cached-unitary
-    matmul), ``dense_build`` (freshly exponentiated dense batch),
-    ``krylov`` (sparse ``expm_multiply``) and ``matrix_free`` (Pauli
-    kernels + Lanczos).  ``kernel`` nests the matrix-free sign /
+    matmul), ``dense_build`` (freshly exponentiated dense batch) and
+    ``matrix_free`` (Pauli kernels + Lanczos); ``krylov`` is retired
+    and always 0.  ``kernel`` nests the matrix-free sign /
     structure / kernel cache counters.
     """
     return {
@@ -485,16 +439,13 @@ def configure_simulation_caches(
     propagator_max_qubits: Optional[int] = None,
     propagator_build_max_qubits: Optional[int] = None,
     memory_budget_bytes: Optional[int] = None,
-    matrix_free_min_qubits: Optional[int] = None,
-    matrix_free_max_columns: Optional[int] = None,
     sign_maxsize: Optional[int] = None,
     structure_maxsize: Optional[int] = None,
     kernel_maxsize: Optional[int] = None,
 ) -> None:
     """Resize the fast-path caches / thresholds (resized caches clear).
 
-    ``memory_budget_bytes``, ``matrix_free_min_qubits`` and
-    ``matrix_free_max_columns`` steer :func:`select_backend`; the
+    ``memory_budget_bytes`` sizes the matrix-free working set; the
     ``sign``/``structure``/``kernel`` sizes forward to
     :func:`repro.sim.kernels.configure_kernel_caches`.
     """
@@ -517,20 +468,6 @@ def configure_simulation_caches(
                 f"memory budget must be positive, got {memory_budget_bytes}"
             )
         _limits["memory_budget_bytes"] = int(memory_budget_bytes)
-    if matrix_free_min_qubits is not None:
-        if matrix_free_min_qubits < 1:
-            raise SimulationError(
-                f"matrix_free_min_qubits must be >= 1, "
-                f"got {matrix_free_min_qubits}"
-            )
-        _limits["matrix_free_min_qubits"] = int(matrix_free_min_qubits)
-    if matrix_free_max_columns is not None:
-        if matrix_free_max_columns < 0:
-            raise SimulationError(
-                f"matrix_free_max_columns must be >= 0, "
-                f"got {matrix_free_max_columns}"
-            )
-        _limits["matrix_free_max_columns"] = int(matrix_free_max_columns)
     configure_kernel_caches(
         sign_maxsize=sign_maxsize,
         structure_maxsize=structure_maxsize,

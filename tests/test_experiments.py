@@ -66,13 +66,28 @@ class TestSpecValidation:
     def test_backend_is_sweepable(self):
         spec = _spec(
             simulation=_sim_section(),
-            sweep={"simulation.backend": ["sparse", "matrix_free"]},
+            sweep={"simulation.backend": ["dense", "matrix_free"]},
         )
         jobs = expand_sweep(spec)
         assert [job.spec.simulation.backend for job in jobs] == [
-            "sparse",
+            "dense",
             "matrix_free",
         ]
+
+    @pytest.mark.parametrize(
+        "section, sweep, field",
+        [
+            ({"backend": "sparse"}, None, "simulation.backend"),
+            ({"vectorized": False}, None, "vectorized"),
+            ({}, {"simulation.vectorized": [True, False]}, "vectorized"),
+        ],
+        ids=["backend-sparse", "vectorized", "sweep-vectorized"],
+    )
+    def test_retired_simulation_inputs_rejected(self, section, sweep, field):
+        """The sparse backend and the legacy-loop flag fail loudly."""
+        extra = {"sweep": sweep} if sweep else {}
+        with pytest.raises(ExperimentError, match=field):
+            _spec(simulation=dict(_sim_section(), **section), **extra)
 
     def test_execution_chunksize_validated(self):
         spec = _spec(execution={"executor": "process", "chunksize": 4})

@@ -1,6 +1,8 @@
 """The matrix-free simulation backend: Pauli kernels, the Lanczos and
 Chebyshev propagators, backend auto-selection boundaries, the
-configurable operator cap, and propagator-cache eviction."""
+configurable operator cap, and propagator-cache eviction.  Evolution
+references come from the ``exact_evolve`` fixture, which shares no code
+with the engine's backends."""
 
 import json
 
@@ -53,8 +55,6 @@ def fresh_caches_and_limits():
         propagator_max_qubits=10,
         propagator_build_max_qubits=7,
         memory_budget_bytes=512 * 2**20,
-        matrix_free_min_qubits=12,
-        matrix_free_max_columns=32,
     )
 
 
@@ -165,8 +165,9 @@ class TestPauliApplication:
 
 class TestMatrixFreePropagators:
     @pytest.mark.parametrize("seed", range(10))
-    def test_evolve_matches_dense_and_sparse(self, seed):
-        """Acceptance: matrix-free ≡ dense ≡ sparse to ≤1e-10."""
+    def test_evolve_matches_dense_and_sparse(self, seed, exact_evolve):
+        """Acceptance: the matrix-free and dense backends both match the
+        exact reference built from the sparse CSR matrix to ≤1e-10."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         h = random_hamiltonian(rng, n)
@@ -174,14 +175,29 @@ class TestMatrixFreePropagators:
             return
         duration = float(rng.uniform(0.1, 2.0))
         block = random_block(rng, n, 4)
+        reference = exact_evolve(block, h, duration, n)
         mf = evolve(block, h, duration, n, backend="matrix_free")
         dense = evolve(block, h, duration, n, backend="dense")
-        sparse = evolve(block, h, duration, n, backend="sparse")
-        assert np.allclose(mf, dense, atol=ATOL)
-        assert np.allclose(mf, sparse, atol=ATOL)
+        assert np.allclose(mf, reference, atol=ATOL)
+        assert np.allclose(dense, reference, atol=ATOL)
+
+    @pytest.mark.parametrize("cache", [True, False])
+    @pytest.mark.parametrize("columns", [1, 40])
+    def test_auto_agrees_with_reference_at_12_qubits(
+        self, columns, cache, exact_evolve
+    ):
+        """N=12 is past the dense cutoff, so auto evolves matrix-free."""
+        rng = np.random.default_rng(60 + columns)
+        n = 12
+        h = random_hamiltonian(rng, n)
+        block = random_block(rng, n, columns)
+        out = evolve(block, h, 0.7, n, cache=cache)
+        assert np.allclose(out, exact_evolve(block, h, 0.7, n), atol=1e-8)
+        fast = simulation_cache_stats()["fast_paths"]
+        assert fast["matrix_free"] == columns
 
     @pytest.mark.parametrize("labels", [("Z",), ("X",), ("Y",), ("X", "Z")])
-    def test_evolve_matches_per_term_type(self, labels):
+    def test_evolve_matches_per_term_type(self, labels, exact_evolve):
         rng = np.random.default_rng(hash(labels) % 2**32)
         n = 4
         h = random_hamiltonian(rng, n, labels=labels)
@@ -189,7 +205,7 @@ class TestMatrixFreePropagators:
             return
         state = random_block(rng, n, 1)[:, 0]
         mf = evolve(state, h, 0.8, n, backend="matrix_free")
-        reference = evolve(state, h, 0.8, n, backend="sparse")
+        reference = exact_evolve(state, h, 0.8, n)
         assert np.allclose(mf, reference, atol=ATOL)
 
     def test_chebyshev_and_lanczos_agree_with_expm(self):
@@ -238,6 +254,9 @@ class TestMatrixFreePropagators:
 
 
 class TestBackendSelection:
+    """auto: all-Z → diagonal; N ≤ propagator_max_qubits → dense;
+    otherwise → matrix_free."""
+
     def test_diagonal_always_wins(self):
         h = zz(0, 1) + 0.5 * z(2)
         for n in (3, 12, 20):
@@ -245,34 +264,21 @@ class TestBackendSelection:
 
     def test_small_registers_stay_dense(self):
         h = zz(0, 1) + x(0)
-        assert select_backend(h, 10) == "dense"
-        assert select_backend(h, 10, cache=False) == "dense"
-
-    def test_mid_register_cached_is_sparse(self):
-        h = zz(0, 1) + x(0)
-        assert select_backend(h, 11, cache=True) == "sparse"
-        assert select_backend(h, 14, cache=True) == "sparse"
+        for n in (2, 10):
+            assert select_backend(h, n) == "dense"
 
     def test_one_shot_large_register_goes_matrix_free(self):
-        """Noise realizations (cache=False) skip per-realization builds."""
         h = zz(0, 1) + x(0)
-        assert select_backend(h, 11, cache=False) == "sparse"  # below min
-        assert select_backend(h, 12, cache=False) == "matrix_free"
-        assert select_backend(h, 16, cache=False) == "matrix_free"
+        for n in (11, 12, 16, 22):
+            assert select_backend(h, n) == "matrix_free"
 
-    def test_wide_blocks_amortize_the_sparse_build(self):
+    def test_dense_cutoff_follows_propagator_max_qubits(self):
         h = zz(0, 1) + x(0)
-        assert select_backend(h, 14, columns=64, cache=False) == "sparse"
-        assert (
-            select_backend(h, 14, columns=8, cache=False) == "matrix_free"
-        )
+        configure_simulation_caches(propagator_max_qubits=6)
+        assert select_backend(h, 6) == "dense"
+        assert select_backend(h, 7) == "matrix_free"
 
-    def test_memory_budget_forces_matrix_free(self):
-        h = zz(0, 1) + x(0)
-        configure_simulation_caches(memory_budget_bytes=1024)
-        assert select_backend(h, 14, cache=True) == "matrix_free"
-
-    def test_wide_blocks_are_chunked_to_the_budget(self):
+    def test_wide_blocks_are_chunked_to_the_budget(self, exact_evolve):
         """A tiny budget forces column-chunked matrix-free propagation
         without changing the result."""
         from repro.sim.propagators import matrix_free_block_columns
@@ -281,7 +287,7 @@ class TestBackendSelection:
         n, k = 4, 6
         h = random_hamiltonian(rng, n)
         block = random_block(rng, n, k)
-        reference = evolve(block, h, 0.6, n, backend="sparse")
+        reference = exact_evolve(block, h, 0.6, n)
         configure_simulation_caches(memory_budget_bytes=2 * 8 * 2**n * 16)
         assert matrix_free_block_columns(n) == 2  # 3 chunks for k=6
         out = evolve(block, h, 0.6, n, backend="matrix_free")
@@ -300,18 +306,18 @@ class TestBackendSelection:
         assert simulation_cache_stats()["fast_paths"]["matrix_free"] >= 1
 
     def test_conflicting_selectors_rejected(self):
+        """``backend`` is the only selector; retired names are errors."""
         state = np.zeros(8, dtype=complex)
         state[0] = 1.0
-        with pytest.raises(SimulationError):
-            evolve(state, zz(0, 1), 0.5, 3, method="krylov", backend="dense")
-        with pytest.raises(SimulationError):
-            evolve(state, zz(0, 1), 0.5, 3, backend="gpu")
-        # krylov + sparse spell the same path and must not conflict.
-        evolve(state, x(0), 0.5, 3, method="krylov", backend="sparse")
+        with pytest.raises(TypeError):
+            evolve(state, zz(0, 1), 0.5, 3, method="krylov")
+        for backend in ("gpu", "sparse", "krylov"):
+            with pytest.raises(SimulationError):
+                evolve(state, x(0), 0.5, 3, backend=backend)
 
 
 class TestPropagatorCacheEviction:
-    def test_block_evolution_at_dense_cutoff_evicts(self):
+    def test_block_evolution_at_dense_cutoff_evicts(self, exact_evolve):
         """A tiny propagator cache under block evolution must evict, not
         grow — and keep producing correct states while doing so."""
         configure_simulation_caches(propagator_maxsize=2)
@@ -324,7 +330,7 @@ class TestPropagatorCacheEviction:
         assert stats["evictions"] >= 3
         assert stats["size"] <= 2
         for i, h in enumerate(hams):
-            reference = evolve(block[:, i], h, 0.4, n, method="krylov")
+            reference = exact_evolve(block[:, i], h, 0.4, n)
             assert np.allclose(out[:, i], reference, atol=ATOL)
 
     def test_eviction_keeps_most_recent_entries_hittable(self):
@@ -358,14 +364,14 @@ class TestConfigurableOperatorCap:
         with pytest.raises(SimulationError):
             configure_operator_limits(max_qubits=0)
 
-    def test_matrix_free_ignores_the_cap(self):
+    def test_matrix_free_ignores_the_cap(self, exact_evolve):
         configure_operator_limits(max_qubits=3)
         rng = np.random.default_rng(41)
         state = random_block(rng, 4, 1)[:, 0]
         h = zz(0, 1) + x(3)
         out = evolve(state, h, 0.5, 4, backend="matrix_free")
         configure_operator_limits(max_qubits=16)
-        reference = evolve(state, h, 0.5, 4, backend="sparse")
+        reference = exact_evolve(state, h, 0.5, 4)
         assert np.allclose(out, reference, atol=ATOL)
 
 
@@ -407,69 +413,33 @@ class TestKernelCaches:
 
     def test_invalid_selection_limits_rejected(self):
         with pytest.raises(SimulationError):
-            configure_simulation_caches(matrix_free_min_qubits=0)
-        with pytest.raises(SimulationError):
-            configure_simulation_caches(matrix_free_max_columns=-1)
-        with pytest.raises(SimulationError):
             configure_simulation_caches(memory_budget_bytes=0)
 
     def test_cli_rejects_backend_with_legacy_loop(self, capsys):
-        code = cli_main(
-            [
-                "simulate",
-                "--model",
-                "ising_chain",
-                "-n",
-                "3",
-                "--shots",
-                "20",
-                "--no-vectorized",
-                "--backend",
-                "matrix_free",
-            ]
-        )
-        assert code == 2
+        """The legacy loop and its flag are gone: a usage error."""
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(
+                [
+                    "simulate",
+                    "--model",
+                    "ising_chain",
+                    "-n",
+                    "3",
+                    "--shots",
+                    "20",
+                    "--no-vectorized",
+                    "--backend",
+                    "matrix_free",
+                ]
+            )
+        assert exit_info.value.code == 2
         assert "--no-vectorized" in capsys.readouterr().err
-
-    def test_cli_legacy_loop_records_sparse_backend(self, capsys):
-        code = cli_main(
-            [
-                "simulate",
-                "--model",
-                "ising_chain",
-                "-n",
-                "3",
-                "--shots",
-                "20",
-                "--noise-samples",
-                "2",
-                "--no-vectorized",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["backend"] == "sparse"
 
 
 class TestNoisySimulatorBackend:
     def test_backend_validated(self):
         with pytest.raises(SimulationError):
             NoisySimulator(backend="magic")
-
-    def test_matrix_free_matches_legacy_samples(self, paper_aais):
-        from repro import QTurboCompiler
-        from repro.models import ising_chain
-
-        schedule = (
-            QTurboCompiler(paper_aais).compile(ising_chain(3), 1.0).schedule
-        )
-        fast = NoisySimulator(
-            noise_samples=4, seed=9, backend="matrix_free"
-        )
-        legacy = NoisySimulator(noise_samples=4, seed=9, vectorized=False)
-        a = fast.run(schedule, shots=120)
-        b = legacy.run(schedule, shots=120)
-        assert np.array_equal(a, b)
 
 
 class TestBenchReportSchema:

@@ -1,11 +1,13 @@
 """The vectorized simulation engine: block evolution, the diagonal and
-dense-propagator fast paths, the CSC/propagator caches, and the
-vectorized Monte-Carlo executor."""
+dense-propagator fast paths, the propagator cache, and the vectorized
+Monte-Carlo executor.  References come from the ``exact_evolve`` fixture,
+which shares no code with the engine's backends."""
 
 import json
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
 from repro import QTurboCompiler
 from repro.cli import main as cli_main
@@ -13,7 +15,6 @@ from repro.errors import SimulationError
 from repro.hamiltonian import Hamiltonian, PauliString
 from repro.hamiltonian.expression import number_op, x, z, zz
 from repro.hamiltonian.time_dependent import PiecewiseHamiltonian
-from repro.mitigation import zne_observables
 from repro.models import ising_chain
 from repro.sim import (
     NoisySimulator,
@@ -26,11 +27,7 @@ from repro.sim import (
     evolve_schedule_block,
     simulation_cache_stats,
 )
-from repro.sim.operators import (
-    clear_operator_cache,
-    hamiltonian_matrix_csc,
-    operator_cache_stats,
-)
+from repro.sim.operators import clear_operator_cache, hamiltonian_matrix
 from repro.sim.propagators import is_diagonal_hamiltonian
 from repro.sim.sampling import counts_from_samples, sample_bitstrings
 
@@ -86,7 +83,7 @@ def random_block(
 
 class TestBlockEvolve:
     @pytest.mark.parametrize("seed", range(4))
-    def test_block_matches_single_evolutions(self, seed):
+    def test_block_matches_single_evolutions(self, seed, exact_evolve):
         """Acceptance: (dim, k) block == k independent single evolutions."""
         rng = np.random.default_rng(seed)
         n, k = 4, 5
@@ -94,16 +91,13 @@ class TestBlockEvolve:
         block = random_block(rng, n, k)
         out = evolve(block, h, 0.7, n)
         singles = np.stack(
-            [
-                evolve(block[:, i], h, 0.7, n, method="krylov")
-                for i in range(k)
-            ],
+            [exact_evolve(block[:, i], h, 0.7, n) for i in range(k)],
             axis=1,
         )
         assert np.allclose(out, singles, atol=ATOL)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_evolve_block_distinct_hamiltonians(self, seed):
+    def test_evolve_block_distinct_hamiltonians(self, seed, exact_evolve):
         rng = np.random.default_rng(100 + seed)
         n, k = 3, 6
         hams = [random_hamiltonian(rng, n) for _ in range(k)]
@@ -111,9 +105,7 @@ class TestBlockEvolve:
         block = random_block(rng, n, k)
         out = evolve_block(block, hams, durations, n)
         for i in range(k):
-            single = evolve(
-                block[:, i], hams[i], durations[i], n, method="krylov"
-            )
+            single = exact_evolve(block[:, i], hams[i], durations[i], n)
             assert np.allclose(out[:, i], single, atol=ATOL)
 
     def test_identical_columns_grouped(self):
@@ -124,9 +116,9 @@ class TestBlockEvolve:
         block = random_block(rng, n, k)
         evolve_block(block, [h] * k, 0.5, n)
         fast = simulation_cache_stats()["fast_paths"]
-        # All 8 columns went through one dense build, nothing hit Krylov.
+        # All 8 columns went through one dense build.
         assert fast["dense_build"] == k
-        assert fast["krylov"] == 0
+        assert fast["matrix_free"] == 0
 
     def test_zero_duration_and_zero_hamiltonian(self):
         rng = np.random.default_rng(2)
@@ -148,18 +140,20 @@ class TestBlockEvolve:
         with pytest.raises(SimulationError):
             evolve_block(block[:, 0], [zz(0, 1)], 0.5, 3)  # not a block
         with pytest.raises(SimulationError):
-            evolve(block, zz(0, 1), 0.5, 3, method="magic")
+            evolve(block, zz(0, 1), 0.5, 3, backend="magic")
 
 
 class TestDiagonalFastPath:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_krylov_on_random_diagonal(self, seed):
+        """Against scipy's ``expm_multiply`` on the sparse CSR matrix."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))
         h = random_hamiltonian(rng, n, diagonal=True)
         state = random_block(rng, n, 1)[:, 0]
         fast = evolve(state, h, 1.3, n)
-        reference = evolve(state, h, 1.3, n, method="krylov")
+        matrix = hamiltonian_matrix(h, n, cache=False).tocsc()
+        reference = expm_multiply(-1j * 1.3 * matrix, state)
         assert np.allclose(fast, reference, atol=ATOL)
         assert simulation_cache_stats()["fast_paths"]["diagonal"] >= 1
 
@@ -170,7 +164,7 @@ class TestDiagonalFastPath:
         assert not is_diagonal_hamiltonian(zz(0, 1) + 0.1 * x(0))
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_mixed_piecewise_schedule(self, seed):
+    def test_mixed_piecewise_schedule(self, seed, exact_evolve):
         """Alternating diagonal / non-diagonal segments, block state."""
         rng = np.random.default_rng(200 + seed)
         n = 4
@@ -185,7 +179,11 @@ class TestDiagonalFastPath:
         target = PiecewiseHamiltonian.from_pairs(segments)
         block = random_block(rng, n, 3)
         out = evolve_piecewise(block, target, n)
-        reference = evolve_piecewise(block, target, n, method="krylov")
+        reference = block
+        for segment in target.segments:
+            reference = exact_evolve(
+                reference, segment.hamiltonian, segment.duration, n
+            )
         assert np.allclose(out, reference, atol=ATOL)
         assert simulation_cache_stats()["fast_paths"]["diagonal"] > 0
 
@@ -197,15 +195,15 @@ class TestSupportValidation:
         state = random_block(rng, 3, 1)[:, 0]
         non_diagonal = x(0) + x(5)
         diagonal = z(0) + z(5)
-        for method in ("auto", "dense", "krylov"):
+        for backend in ("auto", "dense", "matrix_free"):
             with pytest.raises(SimulationError):
-                evolve(state, non_diagonal, 0.5, 3, method=method)
+                evolve(state, non_diagonal, 0.5, 3, backend=backend)
             with pytest.raises(SimulationError):
-                evolve(state, diagonal, 0.5, 3, method=method)
+                evolve(state, diagonal, 0.5, 3, backend=backend)
 
 
 class TestPropagatorCache:
-    def test_repeat_evolution_hits_cache(self):
+    def test_repeat_evolution_hits_cache(self, exact_evolve):
         rng = np.random.default_rng(5)
         n = 3
         h = random_hamiltonian(rng, n)
@@ -216,7 +214,7 @@ class TestPropagatorCache:
         assert stats["propagator"]["hits"] >= 1
         assert stats["fast_paths"]["propagator"] >= 1
         assert np.allclose(first, second, atol=ATOL)
-        reference = evolve(state, h, 0.9, n, method="krylov")
+        reference = exact_evolve(state, h, 0.9, n)
         assert np.allclose(first, reference, atol=ATOL)
 
     def test_distinct_durations_are_distinct_entries(self):
@@ -236,7 +234,7 @@ class TestPropagatorCache:
         evolve(state, h, 0.9, n, cache=False)
         assert simulation_cache_stats()["propagator"]["size"] == 0
 
-    def test_block_reads_cache_warmed_by_single(self):
+    def test_block_reads_cache_warmed_by_single(self, exact_evolve):
         rng = np.random.default_rng(8)
         n = 3
         h = random_hamiltonian(rng, n)
@@ -246,19 +244,39 @@ class TestPropagatorCache:
         out = evolve_block(block, [h] * 4, 0.4, n)
         assert simulation_cache_stats()["fast_paths"]["propagator"] >= 4
         for i in range(4):
-            reference = evolve(block[:, i], h, 0.4, n, method="krylov")
+            reference = exact_evolve(block[:, i], h, 0.4, n)
             assert np.allclose(out[:, i], reference, atol=ATOL)
 
-    def test_build_threshold_zero_falls_back_to_krylov(self):
+    def test_build_threshold_zero_falls_back_to_matrix_free(
+        self, exact_evolve
+    ):
+        """A dense-cache miss above the build threshold goes matrix-free."""
         configure_simulation_caches(propagator_build_max_qubits=0)
         rng = np.random.default_rng(9)
         n = 3
         h = random_hamiltonian(rng, n)
         state = random_block(rng, n, 1)[:, 0]
-        evolve(state, h, 0.9, n)
+        out = evolve(state, h, 0.9, n)
         stats = simulation_cache_stats()
-        assert stats["fast_paths"]["krylov"] >= 1
+        assert stats["fast_paths"]["matrix_free"] == 1
         assert stats["fast_paths"]["dense_build"] == 0
+        assert stats["fast_paths"]["krylov"] == 0
+        assert np.allclose(out, exact_evolve(state, h, 0.9, n), atol=ATOL)
+
+
+def exact_schedule_evolve(exact_evolve, state, schedule, overrides=None):
+    """Walk the schedule segment by segment with the exact reference."""
+    for index, segment in enumerate(schedule.segments):
+        values = schedule.values_at_segment(index)
+        if overrides is not None:
+            values.update(overrides[index])
+        state = exact_evolve(
+            state,
+            schedule.aais.hamiltonian(values),
+            segment.duration,
+            schedule.aais.num_sites,
+        )
+    return state
 
 
 class TestEvolveScheduleBlock:
@@ -266,17 +284,15 @@ class TestEvolveScheduleBlock:
     def schedule(self, paper_aais):
         return QTurboCompiler(paper_aais).compile(ising_chain(3), 1.0).schedule
 
-    def test_unperturbed_block_matches_single(self, schedule):
+    def test_unperturbed_block_matches_single(self, schedule, exact_evolve):
         rng = np.random.default_rng(10)
         block = random_block(rng, 3, 4)
         out = evolve_schedule_block(block, schedule)
         for i in range(4):
-            single = evolve_schedule(
-                block[:, i], schedule, method="krylov"
-            )
+            single = exact_schedule_evolve(exact_evolve, block[:, i], schedule)
             assert np.allclose(out[:, i], single, atol=ATOL)
 
-    def test_overrides_match_per_column_loop(self, schedule):
+    def test_overrides_match_per_column_loop(self, schedule, exact_evolve):
         rng = np.random.default_rng(11)
         k = 5
         block = random_block(rng, 3, k)
@@ -296,12 +312,13 @@ class TestEvolveScheduleBlock:
         out = evolve_schedule_block(block, schedule, overrides)
         for i in range(k):
             single = evolve_schedule(
-                block[:, i],
-                schedule,
-                value_overrides=overrides[i],
-                method="krylov",
+                block[:, i], schedule, value_overrides=overrides[i]
             )
             assert np.allclose(out[:, i], single, atol=ATOL)
+            reference = exact_schedule_evolve(
+                exact_evolve, block[:, i], schedule, overrides[i]
+            )
+            assert np.allclose(out[:, i], reference, atol=ATOL)
 
     def test_override_count_mismatch_rejected(self, schedule):
         rng = np.random.default_rng(12)
@@ -316,27 +333,6 @@ class TestVectorizedNoisySimulator:
     @pytest.fixture
     def schedule(self, paper_aais):
         return QTurboCompiler(paper_aais).compile(ising_chain(3), 1.0).schedule
-
-    def test_vectorized_matches_legacy_samples(self, schedule):
-        vectorized = NoisySimulator(noise_samples=6, seed=4, vectorized=True)
-        legacy = NoisySimulator(noise_samples=6, seed=4, vectorized=False)
-        a = vectorized.run(schedule, shots=200)
-        b = legacy.run(schedule, shots=200)
-        assert np.array_equal(a, b)
-
-    def test_zne_identical_across_paths(self, schedule):
-        results = []
-        for flag in (True, False):
-            simulator = NoisySimulator(
-                noise_samples=4, seed=2, vectorized=flag
-            )
-            results.append(
-                zne_observables(
-                    schedule, simulator, factors=(1.0, 1.5), shots=80
-                )
-            )
-        assert results[0].raw == results[1].raw
-        assert results[0].mitigated == results[1].mitigated
 
     def test_run_many_fresh_rng_per_schedule(self, schedule):
         simulator = NoisySimulator(noise_samples=3, seed=1)
@@ -353,31 +349,6 @@ class TestVectorizedNoisySimulator:
             [schedule, schedule], shots=60, rng=rng
         )
         assert not np.array_equal(first, second)
-
-
-class TestCscCache:
-    def test_returns_csc_and_hits_on_repeat(self):
-        h = zz(0, 1) + 0.5 * x(0)
-        first = hamiltonian_matrix_csc(h, 2)
-        assert first.format == "csc"
-        second = hamiltonian_matrix_csc(h, 2)
-        assert second is first  # shared cached instance, no reconversion
-        stats = operator_cache_stats()["hamiltonian_csc"]
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-
-    def test_cache_false_skips_storage(self):
-        h = zz(0, 1)
-        hamiltonian_matrix_csc(h, 2, cache=False)
-        assert operator_cache_stats()["hamiltonian_csc"]["size"] == 0
-
-    def test_matches_csr_conversion(self):
-        from repro.sim.operators import hamiltonian_matrix
-
-        h = zz(0, 1) - 0.7 * z(0) + 0.2 * x(1)
-        csc = hamiltonian_matrix_csc(h, 2)
-        csr = hamiltonian_matrix(h, 2)
-        assert np.allclose(csc.toarray(), csr.toarray())
 
 
 class TestSampling:
@@ -426,7 +397,7 @@ class TestCLI:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["observables"]) == {"z_avg", "zz_avg"}
-        assert payload["vectorized"] is True
+        assert payload["backend"] == "auto"
         assert "simulation_cache" in payload
 
     def test_simulate_zne(self, capsys):
@@ -463,3 +434,20 @@ class TestCLI:
             ]
         )
         assert code == 2
+
+    def test_simulate_rejects_sparse_backend(self, capsys):
+        """The sparse backend is gone: a usage error naming the flag."""
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(
+                [
+                    "simulate",
+                    "--model",
+                    "ising_chain",
+                    "-n",
+                    "3",
+                    "--backend",
+                    "sparse",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
