@@ -256,7 +256,7 @@ def measure_delta_sweep(
         return QTurboCompiler(aais, **options)
 
     # Cold column: every point pays the full pipeline, including the
-    # linear-system assembly and pseudoinverse factorization.
+    # linear-system assembly and its block decomposition.
     cold_results = []
     tick = time.perf_counter()
     for target in targets:

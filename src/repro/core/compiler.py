@@ -106,7 +106,7 @@ class QTurboCompiler:
         term structure) kept across :meth:`compile` calls.  Repeat
         compilations of structurally identical targets — the common case
         in batch workloads — reuse the assembled matrix and its cached
-        factorization; least-recently-used systems are evicted beyond
+        block plan; least-recently-used systems are evicted beyond
         the cap (see :meth:`system_cache_stats`).  Set to 0 to disable.
     passes:
         Pipeline configuration: None for the default pipeline, a
@@ -122,10 +122,10 @@ class QTurboCompiler:
         by content digest, and later compiles in the same *family*
         (same compiler knobs + target structure) either return the
         stored result (identical digest) or re-enter the pipeline at
-        the first coefficient-sensitive pass with the donor's
-        factorized linear system and partition pre-seeded (coefficient
-        delta).  Delta results are bit-identical to cold compiles; see
-        ``docs/compilation.md``.
+        the first coefficient-sensitive pass with the donor's linear
+        system (block plan included) and partition pre-seeded
+        (coefficient delta).  Delta results are bit-identical to cold
+        compiles; see ``docs/compilation.md``.
     """
 
     def __init__(
@@ -458,7 +458,7 @@ class QTurboCompiler:
         Keyed on the deduplicated, sorted term set plus the active
         fusion fingerprint: every target whose segments touch the same
         (fused) Pauli terms shares one system — and with it the
-        assembled matrix and its cached factorization.
+        assembled matrix and its cached block plan.
 
         Returns
         -------

@@ -215,8 +215,11 @@ class BuildLinearSystemPass(CompilerPass):
     Invalidation inputs: ``structure`` (the term set shapes the matrix)
     and ``coefficients`` (the right-hand sides are built from them), so
     this is where a coefficient-only delta re-enters the default
-    pipeline — the matrix itself still arrives pre-factorized from the
-    shared-system cache.
+    pipeline — the matrix and its block plan still arrive from the
+    shared-system cache.  Diagnostics name the solve that ran:
+    ``solver="lsq_linear"`` for sign-constrained systems, otherwise
+    ``solver="blocks"`` with the plan's ``singleton_blocks`` and
+    ``coupled_blocks`` counts.
     """
 
     name = "build_linear_system"
@@ -265,6 +268,15 @@ class BuildLinearSystemPass(CompilerPass):
                     f"target term {term} is unreachable on this AAIS"
                 )
         rows, cols = system.matrix.shape
+        if system.is_bounded:
+            solve = {"solver": "lsq_linear"}
+        else:
+            blocks = system.block_plan()
+            solve = {
+                "solver": "blocks",
+                "singleton_blocks": blocks.singleton_blocks,
+                "coupled_blocks": blocks.coupled_blocks,
+            }
         self.record(
             rows=rows,
             cols=cols,
@@ -272,6 +284,7 @@ class BuildLinearSystemPass(CompilerPass):
             residual_l1=sum(
                 s.residual_l1 for s in unit.linear_solutions
             ),
+            **solve,
         )
         return unit
 

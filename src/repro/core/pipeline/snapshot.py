@@ -16,7 +16,7 @@ per-pass unit pickles power both delta re-entry (load the prefix before
 the first coefficient-sensitive pass) and ``--at-pass`` time-travel
 diagnostics, while ``shared.pkl`` carries the expensive structural
 state — the assembled :class:`~repro.core.linear_system.
-GlobalLinearSystem` (with its cached factorization) and the channel
+GlobalLinearSystem` (with its cached block plan) and the channel
 partition with solver strategies — that a delta compile seeds into the
 compiler's in-memory caches.
 

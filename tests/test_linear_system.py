@@ -1,16 +1,27 @@
 """Unit tests for the global linear equation system (Section 4.1)."""
 
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import lsq_linear
 
-from repro.aais import HeisenbergAAIS
+from repro.aais import HeisenbergAAIS, aais_for_device
+from repro.aais.channels import ScaledVariableChannel
+from repro.aais.variables import Variable, VariableKind
+from repro.core import QTurboCompiler
 from repro.core.linear_system import (
+    BlockPlan,
     GlobalLinearSystem,
     b_difference_l1,
     l1_norm,
 )
 from repro.hamiltonian import PauliString
-from repro.models import ising_chain
+from repro.hamiltonian.time_dependent import PiecewiseHamiltonian
+from repro.models import build_model, ising_chain
 
 
 @pytest.fixture
@@ -137,6 +148,172 @@ class TestSolve:
         solution = system.solve(dict(target.terms))
         vec = solution.alpha_vector(system.channel_names)
         assert len(vec) == len(system.channel_names)
+
+
+def _target_system(device, model, n, options=None):
+    """The system and right-hand side a compile of ``model`` would solve."""
+    aais = aais_for_device(device, n, options)
+    target = build_model(model, n)
+    b = {t: c for t, c in target.terms.items() if not t.is_identity}
+    return GlobalLinearSystem(aais.channels, extra_terms=tuple(sorted(b))), b
+
+
+def _relative_gap(alpha, reference):
+    return np.linalg.norm(alpha - reference) / max(
+        np.linalg.norm(reference), 1e-300
+    )
+
+
+class TestBlockSolve:
+    """The unbounded solve is the dense minimum-norm least-squares answer."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=7),
+        topology=st.sampled_from([None, "all"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_heisenberg_matches_dense_lstsq(self, n, topology, seed):
+        options = {"topology": topology} if topology else None
+        system, _ = _target_system("heisenberg", "heisenberg_chain", n, options)
+        assert not system.is_bounded
+        rng = np.random.default_rng(seed)
+        b = rng.uniform(-2.0, 2.0, len(system.terms))
+        b[rng.random(len(b)) < 0.3] = 0.0
+        solution = system.solve(dict(zip(system.terms, b)))
+        alpha = solution.alpha_vector(system.channel_names)
+        reference = np.linalg.lstsq(system.matrix.toarray(), b, rcond=None)[0]
+        assert _relative_gap(alpha, reference) <= 1e-12
+        assert solution.residual_l1 == pytest.approx(
+            np.abs(system.matrix @ reference - b).sum(), abs=1e-12
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(min_value=1, max_value=12),
+        cols=st.integers(min_value=1, max_value=12),
+        density=st.floats(min_value=0.05, max_value=0.5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_random_sparse_matches_pinv(self, rows, cols, density, seed):
+        rng = np.random.default_rng(seed)
+        matrix = sparse.random(
+            rows, cols, density=density, format="csr", random_state=rng,
+            data_rvs=lambda k: rng.normal(size=k),
+        )
+        b = rng.normal(size=rows)
+        alpha = BlockPlan.of(matrix).solve(b)
+        reference = np.linalg.pinv(matrix.toarray()) @ b
+        assert _relative_gap(alpha, reference) <= 1e-9
+
+    def test_hand_built_blocks(self):
+        def channel(name, terms):
+            variable = Variable(name, VariableKind.DYNAMIC, -1.0, 1.0)
+            return ScaledVariableChannel(name, variable, 1.0, terms)
+
+        x0, y0 = PauliString.single("X", 0), PauliString.single("Y", 0)
+        z1, z2 = PauliString.single("Z", 1), PauliString.single("Z", 2)
+        x3 = PauliString.single("X", 3)
+        system = GlobalLinearSystem(
+            [
+                channel("a", {x0: 1.0, y0: 2.0}),  # a and b share row X0:
+                channel("b", {x0: 1.0}),  # one coupled 2x2 block
+                channel("c", {z1: 3.0, z2: 0.0}),  # stored zero on Z2
+                channel("d", {PauliString.identity(): 1.0}),  # no rows
+            ],
+            extra_terms=(x3,),  # no channel reaches X3
+        )
+        assert 0.0 in system.matrix.data
+        plan = system.block_plan()
+        assert plan.singleton_blocks == 1
+        assert plan.coupled_blocks == 1
+        assert np.all(plan.single_coeffs != 0.0)
+        assert system.terms[plan.single_rows[0]] == z1
+        rows, cols, _ = plan.coupled[0]
+        assert {system.terms[r] for r in rows} == {x0, y0}
+        assert {system.channel_names[c] for c in cols} == {"a", "b"}
+
+        b = {x0: 1.0, y0: 4.0, z1: 6.0, z2: 5.0, x3: 7.0}
+        with np.errstate(divide="raise", invalid="raise"):
+            solution = system.solve(b)
+        assert solution.alphas["a"] == pytest.approx(2.0, abs=1e-14)
+        assert solution.alphas["b"] == pytest.approx(-1.0, abs=1e-14)
+        assert solution.alphas["c"] == pytest.approx(2.0, abs=1e-14)
+        assert solution.alphas["d"] == 0.0
+        assert solution.residual_l1 == pytest.approx(12.0)
+        reference = np.linalg.lstsq(
+            system.matrix.toarray(), system.target_vector(b), rcond=None
+        )[0]
+        alpha = solution.alpha_vector(system.channel_names)
+        assert _relative_gap(alpha, reference) <= 1e-12
+
+    def test_plan_built_once_and_shared_across_threads(self):
+        system, b = _target_system("heisenberg", "ising_chain", 6)
+        barrier = threading.Barrier(4)
+        plans, alphas = [], []
+
+        def solve():
+            barrier.wait()
+            plans.append(system.block_plan())
+            alphas.append(system.solve(b).alphas)
+
+        threads = [threading.Thread(target=solve) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert all(p.singleton_blocks == len(system.terms) for p in plans)
+        assert all(a == alphas[0] for a in alphas)
+        assert system.block_plan() is system.block_plan()
+
+    @pytest.mark.parametrize(
+        "device, model",
+        [
+            ("heisenberg", "ising_chain"),
+            ("rydberg-1d", "ising_chain"),
+        ],
+    )
+    def test_pass_diagnostics_name_the_solver(self, device, model):
+        aais = aais_for_device(device, 4)
+        target = PiecewiseHamiltonian.constant(build_model(model, 4), 1.0)
+        trace = QTurboCompiler(aais).compile_piecewise(target).pass_trace
+        diagnostics = trace[0]["diagnostics"]
+        assert trace[0]["name"] == "build_linear_system"
+        if device == "heisenberg":
+            assert diagnostics["solver"] == "blocks"
+            assert diagnostics["singleton_blocks"] == diagnostics["rows"]
+            assert diagnostics["coupled_blocks"] == 0
+        else:
+            assert diagnostics["solver"] == "lsq_linear"
+            assert "singleton_blocks" not in diagnostics
+
+
+class TestBoundedSolvePinned:
+    """Sign-constrained systems stay on the parent's ``lsq_linear`` call."""
+
+    @pytest.mark.parametrize(
+        "device, model",
+        [
+            ("rydberg-1d", "ising_chain"),
+            ("rydberg-1d", "heisenberg_chain"),
+            ("aquila", "ising_chain"),
+        ],
+    )
+    def test_alphas_bit_identical_to_lsq_linear(self, device, model):
+        system, b = _target_system(device, model, 6)
+        assert system.is_bounded
+        bounds = np.array([c.alpha_bounds() for c in system.channels]).T
+        expected = lsq_linear(
+            system.matrix,
+            system.target_vector(b),
+            bounds=(bounds[0], bounds[1]),
+            tol=1e-12,
+            max_iter=500,
+        ).x
+        expected = np.where(np.abs(expected) < 1e-12, 0.0, expected)
+        alpha = system.solve(b).alpha_vector(system.channel_names)
+        assert np.array_equal(alpha, expected)
+        assert system._plan is None
 
 
 class TestNormHelpers:

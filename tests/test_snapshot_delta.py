@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.aais import aais_for_device
@@ -19,6 +20,7 @@ from repro.batch import BatchCompiler, BatchJob
 from repro.batch.compiler import pass_cache_stats, reset_worker_compilers
 from repro.cli import main as cli_main
 from repro.core import QTurboCompiler
+from repro.core.linear_system import GlobalLinearSystem
 from repro.core.pipeline import (
     INVALIDATION_INPUTS,
     PASS_INVALIDATION,
@@ -26,6 +28,7 @@ from repro.core.pipeline import (
     SnapshotStore,
     coefficient_digest,
     reentry_index,
+    reset_snapshot_stores,
     snapshot_cache_stats,
     structure_digest,
     unit_digest,
@@ -189,6 +192,47 @@ class TestIncrementalCompiler:
         assert stale.incremental is None
         stats = SnapshotStore(str(tmp_path / "snaps")).disk_stats()
         assert stats["families"] == 2
+
+    def test_family_without_block_plan_still_delta_compiles(
+        self, tmp_path, monkeypatch
+    ):
+        """Families written before the block plan carry a dense ``_pinv``.
+
+        The compiler fingerprint holds no code version, so such a family
+        is still picked up; its systems must build the plan on first use.
+        """
+
+        def pre_block_plan_state(system):
+            state = {k: v for k, v in vars(system).items() if k != "_plan"}
+            state["_pinv"] = np.linalg.pinv(system.matrix.toarray())
+            state["factorization_reuses"] = 0
+            return state
+
+        store_dir = tmp_path / "snaps"
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                GlobalLinearSystem, "__getstate__", pre_block_plan_state
+            )
+            QTurboCompiler(
+                _aais("heisenberg"), snapshots=str(store_dir)
+            ).compile_piecewise(_piecewise())
+        (family,) = [p for p in store_dir.iterdir() if p.is_dir()]
+        blob = (family / "shared.pkl").read_bytes()
+        assert b"_pinv" in blob and b"_plan" not in blob
+        reset_snapshot_stores()
+
+        seeded = pickle.loads(blob)["system"]
+        assert seeded._plan is None and not hasattr(seeded, "_pinv")
+        delta = QTurboCompiler(
+            _aais("heisenberg"), snapshots=str(store_dir)
+        ).compile_piecewise(_piecewise(j=0.8))
+        assert delta.incremental["mode"] == "delta"
+        assert delta.pass_trace[0]["diagnostics"]["solver"] == "blocks"
+        cold = QTurboCompiler(_aais("heisenberg")).compile_piecewise(
+            _piecewise(j=0.8)
+        )
+        assert delta.schedule.to_dict() == cold.schedule.to_dict()
+        assert delta.relative_error == cold.relative_error
 
     def test_corrupt_shared_blob_falls_back_cold_and_recommits(
         self, tmp_path
