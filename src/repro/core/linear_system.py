@@ -13,13 +13,18 @@ constrained.  Otherwise it returns the minimum-norm least-squares
 solution ``M⁺ b`` through a :class:`BlockPlan`: ``M`` splits into the
 connected components of its row–column graph, 1×1 blocks are solved by
 one vectorized divide, and only coupled blocks get a pseudoinverse.
+
+A bounded system of at most :data:`DENSE_TRF_MAX_COLUMNS` columns first
+tries the block plan's answer, which is optimal whenever it meets every
+bound, and otherwise hands ``lsq_linear`` the dense matrix so each TRF
+step solves its subproblem exactly instead of by LSMR iterations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -31,6 +36,12 @@ from repro.errors import CompilationError
 from repro.hamiltonian.pauli import PauliString
 
 __all__ = ["BlockPlan", "GlobalLinearSystem", "LinearSolution"]
+
+#: Widest bounded system solved with dense TRF subproblems.  Above it
+#: the sparse LSMR subproblems win: on rydberg-1d ``ising_chain`` one
+#: solve took 60 vs 68 ms at 250 columns but 97 vs 73 ms at 297 (one
+#: BLAS thread, 2-core VM; table in docs/performance.md).
+DENSE_TRF_MAX_COLUMNS = 256
 
 
 @dataclass
@@ -46,11 +57,17 @@ class LinearSolution:
     unreachable_terms:
         Target terms no channel can drive (rows that are identically
         zero); their coefficients are unavoidable error.
+    bounded_path:
+        How a sign-constrained system was solved: ``"unbounded"`` (the
+        block plan's answer met every bound), ``"trf_exact"`` (TRF with
+        dense subproblems) or ``"trf_lsmr"`` (TRF with LSMR
+        subproblems).  ``None`` for an unbounded system.
     """
 
     alphas: Dict[str, float]
     residual_l1: float
     unreachable_terms: Tuple[PauliString, ...] = ()
+    bounded_path: Optional[str] = None
 
     def alpha_vector(self, channel_order: Sequence[str]) -> np.ndarray:
         return np.array([self.alphas[name] for name in channel_order])
@@ -251,22 +268,9 @@ class GlobalLinearSystem:
     ) -> LinearSolution:
         """Solve min ‖M α − b‖ under the channels' sign bounds."""
         b = self.target_vector(b_target)
+        path = None
         if self.is_bounded:
-            # Kept on TRF although the unbounded optimum usually already
-            # meets the sign bounds: solving exactly and clipping the
-            # roundoff cut the L1 residual from 1e-5 to 1e-14, yet raised
-            # the final ε on every rydberg-1d job by ~5e-9.  TRF stops
-            # ~7e-7 inside α ≥ 0 on non-neighbour van der Waals channels,
-            # and that offset happens to match the long-range tail the
-            # atom positions produce, which the fixed solve does not model.
-            result = lsq_linear(
-                self.matrix,
-                b,
-                bounds=(self._lower, self._upper),
-                tol=tol,
-                max_iter=500,
-            )
-            alpha = result.x
+            alpha, path = self._solve_bounded(b, tol)
         else:
             alpha = self.block_plan().solve(b)
         alpha = np.where(np.abs(alpha) < 1e-12, 0.0, alpha)
@@ -275,7 +279,35 @@ class GlobalLinearSystem:
             alphas=dict(zip(self.channel_names, alpha.tolist())),
             residual_l1=float(np.abs(residual).sum()),
             unreachable_terms=self.unreachable_terms_in(b_target),
+            bounded_path=path,
         )
+
+    def _solve_bounded(self, b: np.ndarray, tol: float) -> Tuple[np.ndarray, str]:
+        """Bounded least squares by TRF, returning α and the path taken.
+
+        Kept on TRF although the unbounded optimum usually already meets
+        the sign bounds: solving exactly and clipping the roundoff cut
+        the L1 residual from 1e-5 to 1e-14, yet raised the final ε on
+        every rydberg-1d job by ~5e-9.  TRF stops ~7e-7 inside α ≥ 0 on
+        non-neighbour van der Waals channels, and that offset happens to
+        match the long-range tail the atom positions produce, which the
+        fixed solve does not model.  Dense subproblems reach the same
+        fixed point as LSMR ones to ~1e-11, in a fraction of the time.
+        """
+        bounds = (self._lower, self._upper)
+        if self.matrix.shape[1] > DENSE_TRF_MAX_COLUMNS:
+            result = lsq_linear(
+                self.matrix, b, bounds=bounds, tol=tol, max_iter=500
+            )
+            return result.x, "trf_lsmr"
+        alpha = self.block_plan().solve(b)
+        if np.all((alpha >= self._lower) & (alpha <= self._upper)):
+            # An unbounded optimum inside the bounds is the bounded one.
+            return alpha, "unbounded"
+        result = lsq_linear(
+            self.matrix.toarray(), b, bounds=bounds, tol=tol, max_iter=500
+        )
+        return result.x, "trf_exact"
 
     def block_plan(self) -> BlockPlan:
         """The unbounded solve's block decomposition, built once and cached.

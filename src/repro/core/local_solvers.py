@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -473,37 +473,7 @@ class VanDerWaalsStrategy(LocalSolverStrategy):
         x0 = np.array(
             [min(max(initial[name], 0.0), extent) for name in variable_names]
         )
-        name_index = {name: k for k, name in enumerate(variable_names)}
-        channel_cols = [
-            (
-                [name_index[v.name] for v in channel.variables],
-                targets[channel.name],
-            )
-            for channel in self.vdw_channels
-        ]
-        strongest = max(abs(t) for _, t in channel_cols)
-        weight_floor = self.WEIGHT_FLOOR_FRACTION * strongest
-        weights = np.array(
-            [max(abs(t), weight_floor) for _, t in channel_cols]
-        )
-        half = self.dimension
-        penalty = 10.0
-
-        def residuals(x: np.ndarray) -> np.ndarray:
-            out = np.empty(len(channel_cols) + len(channel_cols))
-            for k, (cols, target) in enumerate(channel_cols):
-                coords = x[cols]
-                d = math.hypot(
-                    *(coords[m] - coords[half + m] for m in range(half))
-                )
-                d = max(d, 1e-3)
-                out[k] = (self.prefactor / d**6 - target) / weights[k]
-                # Hinge keeps every solved pair above the minimum spacing.
-                out[len(channel_cols) + k] = penalty * max(
-                    0.0, self.min_distance - d
-                )
-            return out
-
+        residuals = self._pair_residuals(variable_names, targets)
         result = least_squares(
             residuals,
             x0,
@@ -519,6 +489,50 @@ class VanDerWaalsStrategy(LocalSolverStrategy):
             axis_values = solution[axis :: self.dimension]
             axis_values -= axis_values.min()
         return dict(zip(variable_names, solution.tolist()))
+
+    def _pair_residuals(
+        self, variable_names: Sequence[str], targets: Mapping[str, float]
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """The position fit's residuals over the coordinate vector.
+
+        Per pair, the weighted miss ``(prefactor / d⁶ − target) / w``
+        with ``w = max(|target|, floor)``, then a hinge ``10 · max(0,
+        min_distance − d)`` that keeps every solved pair above the
+        minimum spacing.  Distances are floored at 1e-3 so coincident
+        atoms stay finite.  All pairs are evaluated as arrays at once.
+        """
+        name_index = {name: k for k, name in enumerate(variable_names)}
+        columns = np.array(
+            [
+                [name_index[v.name] for v in channel.variables]
+                for channel in self.vdw_channels
+            ]
+        )
+        target = np.array([targets[c.name] for c in self.vdw_channels])
+        magnitude = np.abs(target)
+        weights = np.maximum(
+            magnitude, self.WEIGHT_FLOOR_FRACTION * magnitude.max()
+        )
+        half = self.dimension
+        first, second = columns[:, :half], columns[:, half:]
+        prefactor, min_distance = self.prefactor, self.min_distance
+        penalty = 10.0
+
+        def residuals(x: np.ndarray) -> np.ndarray:
+            delta = x[first] - x[second]
+            if half == 1:
+                d = np.abs(delta[:, 0])
+            else:
+                d = np.hypot(delta[:, 0], delta[:, 1])
+            d = np.maximum(d, 1e-3)
+            return np.concatenate(
+                (
+                    (prefactor / d**6 - target) / weights,
+                    penalty * np.maximum(0.0, min_distance - d),
+                )
+            )
+
+        return residuals
 
     def _finish(self, values: Dict[str, float]) -> LocalSolution:
         achieved: Dict[str, float] = {}

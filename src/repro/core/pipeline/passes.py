@@ -217,9 +217,11 @@ class BuildLinearSystemPass(CompilerPass):
     this is where a coefficient-only delta re-enters the default
     pipeline — the matrix and its block plan still arrive from the
     shared-system cache.  Diagnostics name the solve that ran:
-    ``solver="lsq_linear"`` for sign-constrained systems, otherwise
-    ``solver="blocks"`` with the plan's ``singleton_blocks`` and
-    ``coupled_blocks`` counts.
+    ``solver="lsq_linear"`` for sign-constrained systems, with
+    ``bounded_path`` naming how each segment was solved (``unbounded``,
+    ``trf_exact`` or ``trf_lsmr``; distinct paths joined by ``+`` in
+    segment order), otherwise ``solver="blocks"`` with the plan's
+    ``singleton_blocks`` and ``coupled_blocks`` counts.
     """
 
     name = "build_linear_system"
@@ -269,7 +271,10 @@ class BuildLinearSystemPass(CompilerPass):
                 )
         rows, cols = system.matrix.shape
         if system.is_bounded:
-            solve = {"solver": "lsq_linear"}
+            paths = dict.fromkeys(
+                s.bounded_path for s in unit.linear_solutions
+            )
+            solve = {"solver": "lsq_linear", "bounded_path": "+".join(paths)}
         else:
             blocks = system.block_plan()
             solve = {

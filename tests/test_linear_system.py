@@ -14,6 +14,7 @@ from repro.aais.channels import ScaledVariableChannel
 from repro.aais.variables import Variable, VariableKind
 from repro.core import QTurboCompiler
 from repro.core.linear_system import (
+    DENSE_TRF_MAX_COLUMNS,
     BlockPlan,
     GlobalLinearSystem,
     b_difference_l1,
@@ -285,11 +286,31 @@ class TestBlockSolve:
             assert diagnostics["coupled_blocks"] == 0
         else:
             assert diagnostics["solver"] == "lsq_linear"
+            assert diagnostics["bounded_path"] == "trf_exact"
             assert "singleton_blocks" not in diagnostics
 
 
+def _reference_lsq_linear(system, b, dense):
+    """The bounded solve's ``lsq_linear`` call, on the sparse or dense matrix."""
+    matrix = system.matrix.toarray() if dense else system.matrix
+    bounds = np.array([c.alpha_bounds() for c in system.channels]).T
+    alpha = lsq_linear(
+        matrix,
+        system.target_vector(b),
+        bounds=(bounds[0], bounds[1]),
+        tol=1e-12,
+        max_iter=500,
+    ).x
+    return np.where(np.abs(alpha) < 1e-12, 0.0, alpha)
+
+
 class TestBoundedSolvePinned:
-    """Sign-constrained systems stay on the parent's ``lsq_linear`` call."""
+    """Sign-constrained systems keep ``lsq_linear``'s TRF fixed point.
+
+    Up to :data:`DENSE_TRF_MAX_COLUMNS` columns TRF gets the dense
+    matrix (exact subproblems) and lands within 1e-9 of the sparse
+    (LSMR) call; above it the sparse call runs unchanged.
+    """
 
     @pytest.mark.parametrize(
         "device, model",
@@ -302,18 +323,65 @@ class TestBoundedSolvePinned:
     def test_alphas_bit_identical_to_lsq_linear(self, device, model):
         system, b = _target_system(device, model, 6)
         assert system.is_bounded
-        bounds = np.array([c.alpha_bounds() for c in system.channels]).T
-        expected = lsq_linear(
-            system.matrix,
-            system.target_vector(b),
-            bounds=(bounds[0], bounds[1]),
-            tol=1e-12,
-            max_iter=500,
-        ).x
-        expected = np.where(np.abs(expected) < 1e-12, 0.0, expected)
-        alpha = system.solve(b).alpha_vector(system.channel_names)
-        assert np.array_equal(alpha, expected)
+        assert system.matrix.shape[1] <= DENSE_TRF_MAX_COLUMNS
+        solution = system.solve(b)
+        assert solution.bounded_path == "trf_exact"
+        alpha = solution.alpha_vector(system.channel_names)
+        assert np.array_equal(alpha, _reference_lsq_linear(system, b, dense=True))
+        sparse_alpha = _reference_lsq_linear(system, b, dense=False)
+        assert np.max(np.abs(alpha - sparse_alpha)) <= 1e-9
+
+    def test_above_crossover_keeps_sparse_call(self):
+        system, b = _target_system("rydberg-1d", "ising_chain", 22)
+        assert system.matrix.shape[1] == 297 > DENSE_TRF_MAX_COLUMNS
+        solution = system.solve(b)
+        assert solution.bounded_path == "trf_lsmr"
+        alpha = solution.alpha_vector(system.channel_names)
+        assert np.array_equal(alpha, _reference_lsq_linear(system, b, dense=False))
         assert system._plan is None
+
+    def test_feasible_unbounded_optimum_taken(self, paper_aais):
+        system = GlobalLinearSystem(paper_aais.channels)
+        zz = PauliString.from_pairs([(0, "Z"), (1, "Z")])
+        solution = system.solve({zz: 0.0})
+        assert solution.bounded_path == "unbounded"
+        assert solution.residual_l1 == 0.0
+
+
+class TestBoundedOptimality:
+    """Bounded α reach the bounded least-squares optimum (a BVLS oracle)."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        device=st.sampled_from(["rydberg-1d", "rydberg", "aquila"]),
+        n=st.integers(min_value=2, max_value=8),
+        density=st.floats(min_value=0.05, max_value=0.6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_objective_within_bvls_optimum(self, device, n, density, seed):
+        system = GlobalLinearSystem(aais_for_device(device, n).channels)
+        assert system.is_bounded
+        rng = np.random.default_rng(seed)
+        b = rng.uniform(-2.0, 2.0, len(system.terms))
+        b[rng.random(len(b)) >= density] = 0.0
+        solution = system.solve(dict(zip(system.terms, b)))
+        alpha = solution.alpha_vector(system.channel_names)
+        assert np.all(alpha >= system._lower)
+        assert np.all(alpha <= system._upper)
+        dense = system.matrix.toarray()
+        optimum = lsq_linear(
+            dense,
+            b,
+            bounds=(system._lower, system._upper),
+            method="bvls",
+            tol=1e-15,
+        ).x
+
+        def objective(x):
+            return 0.5 * float(np.sum((dense @ x - b) ** 2))
+
+        slack = 1e-8 * max(1.0, float(b @ b))
+        assert objective(alpha) <= objective(optimum) + slack
 
 
 class TestNormHelpers:

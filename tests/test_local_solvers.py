@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.aais import RydbergAAIS
+from repro.aais import RydbergAAIS, aais_for_device
 from repro.core.local_solvers import (
     GenericStrategy,
     LinearStrategy,
@@ -241,6 +242,63 @@ class TestVanDerWaalsStrategy:
         # 2 × (1.25 / 2³) × 0.8 = 0.25; anything close to that is optimal.
         assert residual < 0.35
         assert solution.feasible
+
+
+def _reference_pair_residuals(strategy, variable_names, targets, x):
+    """The position fit's residuals as the original per-pair loop."""
+    name_index = {name: k for k, name in enumerate(variable_names)}
+    channel_cols = [
+        ([name_index[v.name] for v in c.variables], targets[c.name])
+        for c in strategy.vdw_channels
+    ]
+    strongest = max(abs(t) for _, t in channel_cols)
+    weight_floor = strategy.WEIGHT_FLOOR_FRACTION * strongest
+    weights = [max(abs(t), weight_floor) for _, t in channel_cols]
+    half = strategy.dimension
+    out = np.empty(2 * len(channel_cols))
+    for k, (cols, target) in enumerate(channel_cols):
+        coords = x[cols]
+        d = math.hypot(*(coords[m] - coords[half + m] for m in range(half)))
+        d = max(d, 1e-3)
+        out[k] = (strategy.prefactor / d**6 - target) / weights[k]
+        out[len(channel_cols) + k] = 10.0 * max(0.0, strategy.min_distance - d)
+    return out
+
+
+class TestVanDerWaalsResiduals:
+    """The array residuals equal the per-pair loop they replaced."""
+
+    @pytest.mark.parametrize("device, dimension", [("rydberg-1d", 1), ("rydberg", 2)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_array_residuals_match_loop(self, device, dimension, seed):
+        aais = aais_for_device(device, 6)
+        component = component_named(partition_channels(aais.channels), "vdw")
+        strategy = VanDerWaalsStrategy(component)
+        assert strategy.dimension == dimension
+        names = [
+            v.name
+            for site in strategy.sites
+            for v in strategy.site_coords[site]
+        ]
+        rng = np.random.default_rng(seed)
+        targets = {
+            c.name: float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+            for c in strategy.vdw_channels
+        }
+        targets[strategy.vdw_channels[0].name] = 1.5
+        residuals = strategy._pair_residuals(names, targets)
+        spacing = 1.5 * strategy.min_distance
+        for _ in range(20):
+            x = rng.uniform(0.0, spacing * len(strategy.sites), len(names))
+            # Pairs closer than the minimum spacing (hinge active) and
+            # coincident atoms (the 1e-3 distance floor).
+            step = rng.uniform(-0.5, 0.5, dimension) * strategy.min_distance
+            x[dimension : 2 * dimension] = x[:dimension] + step
+            x[-dimension:] = x[-2 * dimension : -dimension]
+            reference = _reference_pair_residuals(strategy, names, targets, x)
+            actual = residuals(x)
+            assert reference[len(reference) // 2 :].max() > 0.0
+            np.testing.assert_allclose(actual, reference, rtol=1e-13, atol=0.0)
 
 
 class TestGenericStrategy:
