@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Compile-pipeline benchmark: pass shares and fusion/compaction wins.
 
-Four measurements, written to ``BENCH_compile.json``:
+Three measurements, written to ``BENCH_compile.json``:
 
 1. **Per-pass time share** of the default pipeline on the paper's
    Rydberg Ising-chain workload — where compile time actually goes
@@ -15,12 +15,6 @@ Four measurements, written to ``BENCH_compile.json``:
    linear system — the distinct-structure sweep case) and warm ones.
 3. **Schedule-compaction win** on an idle-padded piecewise sweep:
    segments whose drives are all zero are dropped before emission.
-4. **Delta-compilation win** on a dense coefficient sweep: every point
-   keeps the donor's term structure and rescales coefficients, so each
-   fresh compiler process re-enters the snapshotted pipeline at
-   ``build_linear_system`` with the donor's factorized linear system
-   and partition carried over.  Schedules are checked bit-identical to
-   cold compiles of the same points (see ``docs/compilation.md``).
 
 Run:
     python benchmarks/bench_compile_pipeline.py [--quick] [--output PATH]
@@ -227,93 +221,6 @@ def measure_compaction(
     return report
 
 
-def measure_delta_sweep(
-    n: int, points: int, device: str = "heisenberg"
-) -> Dict[str, object]:
-    """Cold vs delta-compiled throughput on a coefficient-only sweep.
-
-    Every sweep point is compiled by a *fresh* compiler (the sweep-of-
-    processes case); the delta column shares one snapshot store seeded
-    by a single donor compile, which is excluded from both timings.
-    """
-    import tempfile
-
-    device_options = {"topology": "all"}
-    scales = [1.0 + 0.05 * k for k in range(1, points + 1)]
-    targets = [
-        PiecewiseHamiltonian.constant(
-            dense_ising(n, j=0.15 * s, h=0.4 * s), 1.0
-        )
-        for s in scales
-    ]
-    donor = PiecewiseHamiltonian.constant(dense_ising(n), 1.0)
-    # One AAIS for the whole sweep, as in real batch/runner sweeps
-    # (each point still gets a fresh compiler, i.e. cold in-memory
-    # caches — the snapshot store is the only state carried across).
-    aais = aais_for_device(device, n, device_options)
-
-    def fresh(**options) -> QTurboCompiler:
-        return QTurboCompiler(aais, **options)
-
-    # Cold column: every point pays the full pipeline, including the
-    # linear-system assembly and its block decomposition.
-    cold_results = []
-    tick = time.perf_counter()
-    for target in targets:
-        result = fresh().compile_piecewise(target)
-        if not result.success:
-            raise RuntimeError(f"cold compile failed: {result.message}")
-        cold_results.append(result)
-    cold_seconds = max(time.perf_counter() - tick, 1e-9)
-
-    modes: Dict[str, int] = {}
-    with tempfile.TemporaryDirectory() as snapshot_dir:
-        donor_result = fresh(snapshots=snapshot_dir).compile_piecewise(donor)
-        if not donor_result.success:
-            raise RuntimeError("donor compile failed")
-        delta_results = []
-        tick = time.perf_counter()
-        for target in targets:
-            result = fresh(snapshots=snapshot_dir).compile_piecewise(target)
-            if not result.success:
-                raise RuntimeError(
-                    f"delta compile failed: {result.message}"
-                )
-            delta_results.append(result)
-        delta_seconds = max(time.perf_counter() - tick, 1e-9)
-
-    for cold, warm in zip(cold_results, delta_results):
-        mode = (warm.incremental or {}).get("mode", "cold")
-        modes[mode] = modes.get(mode, 0) + 1
-        if warm.schedule.to_dict() != cold.schedule.to_dict():
-            raise RuntimeError(
-                "delta-compiled schedule differs from cold compile"
-            )
-
-    return {
-        "workload": (
-            f"coefficient sweep of dense_ising on {device}(all-to-all), "
-            f"n={n}, {points} points, fresh compiler per point"
-        ),
-        "qubits": n,
-        "points": points,
-        "cold": {
-            "seconds": cold_seconds,
-            "jobs_per_second": points / cold_seconds,
-        },
-        "delta": {
-            "seconds": delta_seconds,
-            "jobs_per_second": points / delta_seconds,
-            "modes": modes,
-            "reentry_pass": (delta_results[0].incremental or {}).get(
-                "reentry_pass"
-            ),
-        },
-        "speedup": cold_seconds / delta_seconds,
-        "bit_identical": True,
-    }
-
-
 def run_benchmark(
     quick: bool = False, output: str = DEFAULT_OUTPUT
 ) -> Dict[str, object]:
@@ -333,9 +240,6 @@ def run_benchmark(
             "heisenberg", {"topology": "all"}, dense_sizes, repeat
         ),
         "compaction": measure_compaction(sizes, repeat),
-        "delta_sweep": measure_delta_sweep(
-            8 if quick else 18, 4 if quick else 12
-        ),
     }
     # Shared BENCH_*.json schema: every report carries the workload
     # sections as a `runs` list next to `benchmark` and `quick`.
@@ -346,7 +250,6 @@ def run_benchmark(
             "fusion_rydberg",
             "fusion_heisenberg_all",
             "compaction",
-            "delta_sweep",
         )
     ]
     path = pathlib.Path(output)
@@ -372,12 +275,6 @@ def run_benchmark(
     print(
         f"compaction: speedup {compaction['speedup']:.2f}x, segments "
         f"{compaction['segments_before']}→{compaction['segments_after']}"
-    )
-    delta = report["delta_sweep"]
-    print(
-        f"delta sweep: speedup {delta['speedup']:.2f}x over "
-        f"{delta['points']} points (n={delta['qubits']}, re-entry at "
-        f"{delta['delta']['reentry_pass']}, bit-identical schedules)"
     )
     return report
 

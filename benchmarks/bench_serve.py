@@ -7,10 +7,9 @@ Three measurements, written to ``BENCH_serve.json``:
    sweep of distinct compile requests over a real socket; every
    request executes through the batch pipeline and commits to the
    persistent store.
-2. **Warm throughput** — the service is torn down, every in-process
-   cache is reset (``reset_worker_compilers`` + a fresh interpreter
-   state for the snapshot memo), and a *new* service instance is
-   booted on the same data directory.  The same sweep resubmitted is
+2. **Warm throughput** — the service is torn down, the in-process
+   worker compilers are reset (``reset_worker_compilers``), and a *new*
+   service instance is booted on the same data directory.  The same sweep resubmitted is
    answered entirely from the content-addressed result store — this is
    the restart-survives-warm story, and the headline ``speedup`` is
    warm requests/sec over cold.

@@ -34,6 +34,7 @@ from repro.batch.jobs import BatchJob, BatchResult, JobOutcome
 from repro.batch.retry import RetryPolicy, call_with_retry
 from repro.core.compiler import QTurboCompiler
 from repro.errors import classify_failure
+from repro.hamiltonian.time_dependent import PiecewiseHamiltonian
 from repro.testing.faults import fault_point
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "compiler_for",
     "pass_cache_stats",
     "reset_worker_compilers",
+    "structure_digest",
     "verify_fidelity",
 ]
 
@@ -106,28 +108,58 @@ def compiler_for(job: BatchJob) -> QTurboCompiler:
     return compiler
 
 
+def structure_digest(target: PiecewiseHamiltonian) -> str:
+    """Digest of the per-segment nonzero Pauli-term sets of ``target``.
+
+    Identity terms and coefficients are excluded: two targets share a
+    structure digest iff they have the same number of segments and
+    drive the same terms segment by segment.  A coefficient that
+    becomes exactly zero changes the structure, because
+    :class:`~repro.hamiltonian.expression.Hamiltonian` drops vanishing
+    terms at construction.
+
+    Parameters
+    ----------
+    target:
+        The piecewise-constant target being compiled.
+
+    Returns
+    -------
+    str
+        A 32-character hex digest.
+    """
+    parts = []
+    for segment in target.segments:
+        hashes = sorted(
+            term.stable_hash()
+            for term in segment.hamiltonian.terms
+            if not term.is_identity
+        )
+        parts.append(",".join(hashes))
+    return hashlib.blake2b(
+        "|".join(parts).encode("utf-8"), digest_size=16
+    ).hexdigest()
+
+
 def coalesce_jobs(jobs: Sequence[BatchJob]) -> List[BatchJob]:
     """Reorder jobs so structurally similar compiles run back to back.
 
     Jobs are grouped by ``(AAIS content, compiler options, target
     structure digest)`` — the same key that decides whether two compiles
-    share a worker compiler, a linear-system cache entry, and a snapshot
-    *family*.  Groups keep first-submission order and jobs keep their
-    order within a group, so the reordering is deterministic.  Running a
-    group contiguously means the first member compiles cold (committing
-    the family donor) and every follower immediately delta-compiles or
-    hits the donor, instead of interleaving families and churning the
-    LRUs.  This is the request-coalescing hook the ``repro serve`` job
-    queue applies to each drained batch; results still come back in
-    submission order (see :meth:`BatchCompiler.compile_many`).
+    share a worker compiler and a linear-system cache entry.  Groups
+    keep first-submission order and jobs keep their order within a
+    group, so the reordering is deterministic.  Running a group
+    contiguously means the first member builds the linear system and
+    every follower reuses it, instead of interleaving structures and
+    churning the LRUs.  This is the request-coalescing hook the ``repro
+    serve`` job queue applies to each drained batch; results still come
+    back in submission order (see :meth:`BatchCompiler.compile_many`).
     """
     return [jobs[index] for index in _coalesced_order(jobs)]
 
 
 def _coalesced_order(jobs: Sequence[BatchJob]) -> List[int]:
     """The submission indices of ``jobs`` in coalesced dispatch order."""
-    from repro.core.pipeline.delta import structure_digest
-
     groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
     for index, job in enumerate(jobs):
         key = (
@@ -139,30 +171,13 @@ def _coalesced_order(jobs: Sequence[BatchJob]) -> List[int]:
     return [index for group in groups.values() for index in group]
 
 
-def _merge_counters(bucket: dict, counters: dict) -> None:
-    """Sum ``counters`` into ``bucket``, recursing into nested dicts.
-
-    Numeric values add; nested mappings (e.g. the snapshot store's
-    re-entry histogram and disk section) merge key by key; anything
-    else (e.g. a store's root path) keeps the first value seen.
-    """
-    for key, value in counters.items():
-        if isinstance(value, dict):
-            _merge_counters(bucket.setdefault(key, {}), value)
-        elif isinstance(value, (int, float)):
-            bucket[key] = bucket.get(key, 0) + value
-        else:
-            bucket.setdefault(key, value)
-
-
 def pass_cache_stats() -> dict:
     """Aggregate pass-level cache counters across the worker compilers.
 
     The batch engine memoizes one :class:`QTurboCompiler` per distinct
     ``(AAIS, options)``; each compiler owns the structural caches its
     pipeline passes read — the ``build_linear_system`` pass's shared
-    linear-system LRU, the ``partition`` pass's memo, and (when
-    configured) the incremental-compilation snapshot store.  This sums
+    linear-system LRU and the ``partition`` pass's memo.  This sums
     their hit/miss/eviction counters over every live compiler in this
     process (worker processes of the ``process`` executor keep their
     own memos, which are not visible here).
@@ -182,7 +197,9 @@ def pass_cache_stats() -> dict:
     }
     for compiler in compilers:
         for cache_name, counters in compiler.pass_cache_stats().items():
-            _merge_counters(totals.setdefault(cache_name, {}), counters)
+            bucket = totals[cache_name]
+            for key, value in counters.items():
+                bucket[key] += value
     return totals
 
 
@@ -393,7 +410,7 @@ class BatchCompiler:
 
         With ``coalesce=True`` the jobs are dispatched in
         :func:`coalesce_jobs` order (structurally similar compiles run
-        adjacently, maximizing cache and snapshot reuse) — outcomes are
+        adjacently, maximizing cache reuse) — outcomes are
         still returned in original submission order.
         """
         indexed = list(enumerate(jobs))

@@ -10,8 +10,7 @@ Commands
     compilation state as it stood right after that pass ran (see
     ``docs/compilation.md``); ``--enable-pass``/``--disable-pass``
     toggle optional pipeline passes such as ``term_fusion`` and
-    ``schedule_compaction``; ``--snapshot-dir`` enables incremental
-    delta-compilation against an on-disk snapshot store.
+    ``schedule_compaction``.
 ``models``
     List the registered benchmark models.
 ``compare``
@@ -26,11 +25,9 @@ Commands
     printing observables and simulation-cache statistics.
 ``cache-stats``
     Print the operator, simulation fast-path, compiler pass-level, and
-    incremental-snapshot cache statistics of this process as JSON (most
+    fault-tolerance statistics of this process as JSON (most
     informative at the end of a workload — ``simulate``/``batch
-    --verify`` include the same report inline).  ``--snapshot-dir``
-    additionally scans an on-disk snapshot store left by an earlier
-    process.
+    --verify`` include the same report inline).
 ``run``
     Execute a declarative experiment spec (YAML/JSON) end to end —
     sweep expansion, batched compile + noisy simulation + ZNE, and a
@@ -112,13 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         "as it stood right after this pass (time-travel diagnostics)",
     )
     compile_cmd.add_argument(
-        "--snapshot-dir",
-        metavar="DIR",
-        help="enable incremental compilation against this snapshot "
-        "store; repeated/coefficient-only recompiles re-enter the "
-        "pipeline past the cached prefix",
-    )
-    compile_cmd.add_argument(
         "--output",
         choices=("summary", "json"),
         default="summary",
@@ -164,12 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="jobs per process-pool dispatch chunk (amortizes pickling "
         "on large sweeps; serial/thread executors ignore it)",
-    )
-    batch_cmd.add_argument(
-        "--snapshot-dir",
-        metavar="DIR",
-        help="enable incremental compilation against this snapshot "
-        "store (delta-compiles repeats and coefficient-only variants)",
     )
     batch_cmd.add_argument(
         "--verify",
@@ -219,16 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="include operator/simulation cache statistics in the output",
     )
 
-    cache_cmd = sub.add_parser(
+    sub.add_parser(
         "cache-stats",
         help="print operator + simulation + compiler cache statistics "
         "as JSON",
-    )
-    cache_cmd.add_argument(
-        "--snapshot-dir",
-        metavar="DIR",
-        help="also scan this on-disk snapshot store (families, blobs, "
-        "bytes) even if no compiler in this process opened it",
     )
 
     run_cmd = sub.add_parser(
@@ -266,14 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument(
         "--force",
         action="store_true",
-        help="recompute everything, overwriting existing artifacts "
-        "(including the run's snapshot store)",
-    )
-    run_cmd.add_argument(
-        "--no-snapshots",
-        action="store_true",
-        help="disable the run directory's incremental-compilation "
-        "snapshot store (sweeps then compile every point cold)",
+        help="recompute everything, overwriting existing artifacts",
     )
     _add_fault_tolerance_args(run_cmd, override=True)
     run_cmd.add_argument(
@@ -312,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--data-dir",
         default=".repro-service",
         metavar="DIR",
-        help="persistent service state: results/, snapshots/, runs/",
+        help="persistent service state: results/, runs/",
     )
     serve_cmd.add_argument(
         "--executor",
@@ -332,14 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--batch-max", type=int, default=64, help="max jobs per batch"
-    )
-    serve_cmd.add_argument(
-        "--max-families", type=int, default=None,
-        help="snapshot-store GC cap: keep at most this many families",
-    )
-    serve_cmd.add_argument(
-        "--max-store-bytes", type=int, default=None,
-        help="snapshot-store GC cap: keep at most this many bytes",
     )
     serve_cmd.add_argument(
         "--max-results", type=int, default=None,
@@ -494,7 +457,6 @@ def _command_compile(args: argparse.Namespace) -> int:
         aais,
         refine=not args.no_refine,
         passes=passes or None,
-        snapshots=args.snapshot_dir,
     )
     result = compiler.compile(target, args.time)
     at_pass_state = None
@@ -514,8 +476,6 @@ def _command_compile(args: argparse.Namespace) -> int:
         if args.explain:
             payload["passes"] = result.pass_trace
             payload["stage_timings"] = result.stage_timings.as_dict()
-            if result.incremental:
-                payload["incremental"] = result.incremental
         if at_pass_state is not None:
             payload["at_pass"] = at_pass_state
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -523,15 +483,6 @@ def _command_compile(args: argparse.Namespace) -> int:
         print(result.summary())
         if args.explain:
             print(trace_table(result.pass_trace))
-            if result.incremental:
-                mode = result.incremental["mode"]
-                line = f"incremental: {mode}"
-                if mode == "delta":
-                    line += (
-                        " (re-entered at "
-                        f"{result.incremental['reentry_pass']})"
-                    )
-                print(line)
         if at_pass_state is not None:
             print(f"state after pass {args.at_pass!r}:")
             print(json.dumps(at_pass_state, indent=2, sort_keys=True))
@@ -594,18 +545,12 @@ def _batch_jobs(args: argparse.Namespace) -> List[BatchJob]:
         aais = aais_for_device(args.device, max(n, target.num_qubits()))
         workloads.append((stem, target, aais))
 
-    compiler_options = {}
-    if getattr(args, "snapshot_dir", None):
-        compiler_options["snapshots"] = args.snapshot_dir
     jobs: List[BatchJob] = []
     for round_index in range(args.repeat):
         suffix = f"-r{round_index}" if args.repeat > 1 else ""
         for stem, target, aais in workloads:
             jobs.append(
-                BatchJob.constant(
-                    f"{stem}{suffix}", target, args.time, aais,
-                    **compiler_options,
-                )
+                BatchJob.constant(f"{stem}{suffix}", target, args.time, aais)
             )
     return jobs
 
@@ -747,7 +692,6 @@ def _command_run(args: argparse.Namespace) -> int:
         executor=args.executor,
         workers=args.workers,
         chunksize=args.chunksize,
-        snapshots=not args.no_snapshots,
         retries=args.retries,
         retry_backoff=args.retry_backoff,
         job_timeout=args.job_timeout,
@@ -793,28 +737,16 @@ def _command_report(args: argparse.Namespace) -> int:
     return 0 if report.payload["num_ok"] == report.payload["num_jobs"] else 1
 
 
-def _command_cache_stats(args: argparse.Namespace) -> int:
+def _command_cache_stats(_args: argparse.Namespace) -> int:
     from repro.batch.compiler import pass_cache_stats
     from repro.batch.retry import fault_tolerance_stats
-    from repro.core.pipeline import snapshot_cache_stats
 
     payload = {
         "operator_cache": operator_cache_stats(),
         "simulation_cache": simulation_cache_stats(),
         "compiler_cache": pass_cache_stats(),
-        "snapshot_cache": snapshot_cache_stats(),
         "fault_tolerance": fault_tolerance_stats(),
     }
-    if args.snapshot_dir:
-        # Scan a store left on disk by an earlier process (the live
-        # counters above only see stores opened in this one).  The deep
-        # scan verifies blob digests, so families whose blobs were
-        # GC'd or scribbled report as "degraded", not usable.
-        from repro.core.pipeline import SnapshotStore
-
-        payload["snapshot_disk"] = SnapshotStore(
-            args.snapshot_dir
-        ).disk_stats(deep=True)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -831,8 +763,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             linger=args.linger,
             batch_max=args.batch_max,
-            max_families=args.max_families,
-            max_store_bytes=args.max_store_bytes,
             max_results=args.max_results,
             max_result_bytes=args.max_result_bytes,
         )

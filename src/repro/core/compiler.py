@@ -32,28 +32,17 @@ import pickle
 import threading
 import time
 from collections import OrderedDict
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.aais.base import AAIS
 from repro.core.linear_system import GlobalLinearSystem
 from repro.core.local_solvers import LocalSolverStrategy, select_strategy
 from repro.core.partition import partition_channels
-from repro.core.pipeline.delta import (
-    compiler_fingerprint,
-    describe_unit_state,
-    family_name,
-    reentry_index,
-    structure_digest,
-    unit_digest,
-)
 from repro.core.pipeline.manager import PassManager
-from repro.core.pipeline.passes import linear_system_key
 from repro.core.pipeline.registry import (
     build_pipeline,
     normalize_passes_config,
 )
-from repro.core.pipeline.snapshot import SnapshotStore
 from repro.core.pipeline.unit import CompilationUnit
 from repro.core.result import CompilationResult, StageTimings
 from repro.core.time_optimizer import MIN_TIME_FLOOR
@@ -65,7 +54,7 @@ from repro.hamiltonian.time_dependent import (
     TimeDependentHamiltonian,
 )
 
-__all__ = ["QTurboCompiler"]
+__all__ = ["QTurboCompiler", "describe_unit_state"]
 
 #: Stage-timing bucket each pass's wall time is charged to.
 _PASS_STAGE = {
@@ -114,18 +103,6 @@ class QTurboCompiler:
         names (see :data:`repro.core.pipeline.PASS_REGISTRY`), the
         hashable pair form of such a mapping, or a prebuilt
         :class:`~repro.core.pipeline.manager.PassManager`.
-    snapshots:
-        Incremental-compilation store: None (default) disables it, a
-        directory path (or an existing
-        :class:`~repro.core.pipeline.snapshot.SnapshotStore`) enables
-        it.  Cold compiles then persist per-pass unit snapshots keyed
-        by content digest, and later compiles in the same *family*
-        (same compiler knobs + target structure) either return the
-        stored result (identical digest) or re-enter the pipeline at
-        the first coefficient-sensitive pass with the donor's linear
-        system (block plan included) and partition pre-seeded
-        (coefficient delta).  Delta results are bit-identical to cold
-        compiles; see ``docs/compilation.md``.
     """
 
     def __init__(
@@ -138,7 +115,6 @@ class QTurboCompiler:
         use_analytic_solvers: bool = True,
         system_cache_size: int = 32,
         passes=None,
-        snapshots=None,
     ):
         if feasibility_growth <= 1.0:
             raise CompilationError("feasibility_growth must exceed 1")
@@ -170,11 +146,6 @@ class QTurboCompiler:
         self._strategies: "List[LocalSolverStrategy] | None" = None
         self._partition_hits = 0
         self._partition_misses = 0
-        if snapshots is None or isinstance(snapshots, SnapshotStore):
-            self._snapshots: Optional[SnapshotStore] = snapshots
-        else:
-            self._snapshots = SnapshotStore(Path(snapshots))
-        self._fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -211,26 +182,12 @@ class QTurboCompiler:
         :class:`~repro.core.pipeline.unit.CompilationUnit`; an
         :class:`~repro.errors.InfeasibleError` raised by any pass
         becomes an unsuccessful result carrying the partial pass trace.
-        With a snapshot store configured, the compile is served
-        incrementally when a usable donor snapshot exists (see the
-        ``snapshots`` parameter).
         """
         fault_point("compiler.compile")
         start = time.perf_counter()
-        if self._snapshots is not None:
-            return self._compile_incremental(target, start)
         unit = CompilationUnit(target=target, aais=self.aais)
-        return self._run_pipeline(unit, start)
-
-    # ------------------------------------------------------------------
-    # Incremental compilation (snapshot store + delta re-entry)
-    # ------------------------------------------------------------------
-    def _run_pipeline(self, unit, start, start_at=0, observer=None):
-        """Run the pipeline over ``unit`` and finalize the result."""
         try:
-            unit = self._pass_manager.run(
-                unit, self, start_at=start_at, observer=observer
-            )
+            unit = self._pass_manager.run(unit, self)
             result = unit.result
             if result is None:
                 raise CompilationError(
@@ -245,139 +202,12 @@ class QTurboCompiler:
         result.stage_timings.total = result.compile_seconds
         return result
 
-    def _family_key(self, target) -> Tuple[str, str]:
-        """``(family, unit_digest)`` of a target under this compiler."""
-        if self._fingerprint is None:
-            self._fingerprint = compiler_fingerprint(self)
-        return (
-            family_name(self._fingerprint, structure_digest(target)),
-            unit_digest(target),
-        )
-
-    def _compile_incremental(self, target, start) -> CompilationResult:
-        """Dispatch one compile through the snapshot store."""
-        family, digest = self._family_key(target)
-        kind = self._snapshots.classify(family, digest)
-        if kind == "identical":
-            result = self._compile_identical(family, start)
-            if result is not None:
-                return result
-        elif kind == "delta":
-            result = self._compile_delta(target, start, family)
-            if result is not None:
-                return result
-        return self._compile_cold_commit(target, start, family, digest)
-
-    def _compile_identical(self, family, start) -> Optional[CompilationResult]:
-        """Serve an identical-digest hit from the donor's final unit."""
-        unit = self._snapshots.load_final_unit(family)
-        if unit is None or unit.result is None:
-            return None
-        result = unit.result
-        result.compile_seconds = time.perf_counter() - start
-        result.pass_trace = unit.trace()
-        result.stage_timings = self._stage_timings(unit)
-        result.stage_timings.total = result.compile_seconds
-        result.incremental = {"mode": "identical", "family": family}
-        return result
-
-    def _compile_delta(self, target, start, family) -> Optional[CompilationResult]:
-        """Re-enter the pipeline for a coefficient-only delta.
-
-        Seeds the structural caches from the donor's shared blob, loads
-        the donor's unit as it stood just before the re-entry pass (when
-        the re-entry is not the first pass), swaps in the new target,
-        and runs the remaining passes.  Returns None when any snapshot
-        piece is unusable — the caller falls back to a cold compile.
-        """
-        passes = self._pass_manager.passes
-        reentry = reentry_index(passes)
-        if reentry >= len(passes):
-            return None
-        shared = self._snapshots.load_shared(family)
-        if shared is None:
-            return None
-        self._seed_caches(shared)
-        if reentry > 0:
-            unit = self._snapshots.load_unit_state(family, reentry - 1)
-            if unit is None:
-                return None
-            unit.target = target
-            for record in unit.records:
-                record.seconds = 0.0
-                record.diagnostics["carried"] = True
-        else:
-            unit = CompilationUnit(target=target, aais=self.aais)
-        self._snapshots.record_reentry(passes[reentry].name)
-        result = self._run_pipeline(unit, start, start_at=reentry)
-        result.incremental = {
-            "mode": "delta",
-            "family": family,
-            "reentry_index": reentry,
-            "reentry_pass": passes[reentry].name,
-        }
-        return result
-
-    def _compile_cold_commit(
-        self, target, start, family, digest
-    ) -> CompilationResult:
-        """Compile cold, snapshotting each pass, and commit the donor."""
-        unit = CompilationUnit(target=target, aais=self.aais)
-        blobs: List[Tuple[str, bytes]] = []
-
-        def observer(index, compiler_pass, unit):
-            blobs.append(
-                (
-                    compiler_pass.name,
-                    pickle.dumps(unit, protocol=pickle.HIGHEST_PROTOCOL),
-                )
-            )
-
-        result = self._run_pipeline(unit, start, observer=observer)
-        if result.success and len(blobs) == len(self._pass_manager.passes):
-            shared = {
-                "system_key": (linear_system_key(unit), unit.fusion_key),
-                "system": unit.system,
-                "components": unit.components,
-                "strategies": unit.strategies,
-            }
-            meta = {
-                "unit": digest,
-                "structure": structure_digest(target),
-                "fingerprint": self._fingerprint,
-                "passes": self.pass_names,
-                "reentry": reentry_index(self._pass_manager.passes),
-                "created": time.time(),
-            }
-            self._snapshots.commit(
-                family,
-                meta,
-                blobs,
-                pickle.dumps(shared, protocol=pickle.HIGHEST_PROTOCOL),
-            )
-        return result
-
-    def _seed_caches(self, shared) -> None:
-        """Install a donor's structural state into the in-memory caches."""
-        key = shared.get("system_key")
-        system = shared.get("system")
-        if key is not None and system is not None and self.system_cache_size > 0:
-            cache_key = tuple(key)
-            with self._system_cache_lock:
-                if cache_key not in self._system_cache:
-                    self._system_cache[cache_key] = system
-        if self._partition is None and shared.get("components") is not None:
-            self._strategies = list(shared["strategies"])
-            self._partition = list(shared["components"])
-
     def explain_at_pass(self, target, pass_name: str) -> Dict[str, object]:
-        """The compilation unit's state right after one pass — time travel.
+        """The compilation unit's state right after one pass.
 
-        Serves the state from the snapshot store when the exact target
-        is snapshotted (source ``"snapshot"``); otherwise replays the
-        pipeline in memory and captures the state at the requested pass
-        (source ``"replay"``).  Backs ``repro compile --explain
-        --at-pass <name>`` and the miscompile-bisection recipe in
+        Replays the pipeline in memory and captures the state at the
+        requested pass.  Backs ``repro compile --explain --at-pass
+        <name>`` and the miscompile-bisection recipe in
         ``docs/compilation.md``.
 
         Parameters
@@ -392,7 +222,7 @@ class QTurboCompiler:
         -------
         dict
             JSON-serializable state summary (see
-            :func:`~repro.core.pipeline.delta.describe_unit_state`).
+            :func:`describe_unit_state`).
 
         Raises
         ------
@@ -406,18 +236,6 @@ class QTurboCompiler:
                 f"unknown pass {pass_name!r}; this pipeline runs {names}"
             )
         index = names.index(pass_name)
-        if self._snapshots is not None:
-            family, digest = self._family_key(target)
-            meta = self._snapshots.read_meta(family)
-            if (
-                meta is not None
-                and meta.get("unit") == digest
-                and meta.get("passes") == names
-            ):
-                unit = self._snapshots.load_unit_state(family, index)
-                if unit is not None:
-                    return describe_unit_state(unit, index, source="snapshot")
-
         captured: Dict[str, CompilationUnit] = {}
 
         def observer(i, compiler_pass, unit):
@@ -439,13 +257,7 @@ class QTurboCompiler:
                 f"pipeline failed before reaching pass {pass_name!r}; "
                 "run with --explain for the partial trace"
             )
-        return describe_unit_state(captured["unit"], index, source="replay")
-
-    def snapshot_stats(self) -> Optional[Dict[str, object]]:
-        """This compiler's snapshot-store statistics (None when disabled)."""
-        if self._snapshots is None:
-            return None
-        return self._snapshots.stats()
+        return describe_unit_state(captured["unit"], index)
 
     # ------------------------------------------------------------------
     # Structural caches (the pass-level cache layer)
@@ -527,20 +339,15 @@ class QTurboCompiler:
 
         The ``build_linear_system`` pass is backed by the linear-system
         LRU (see :meth:`system_cache_stats`); the ``partition`` pass by
-        the per-compiler partition memo.  With a snapshot store
-        configured, a ``snapshot`` bucket carries its statistics too
-        (see :meth:`~repro.core.pipeline.snapshot.SnapshotStore.stats`).
+        the per-compiler partition memo.
         """
-        stats = {
+        return {
             "linear_system": self.system_cache_stats(),
             "partition": {
                 "hits": self._partition_hits,
                 "misses": self._partition_misses,
             },
         }
-        if self._snapshots is not None:
-            stats["snapshot"] = self._snapshots.stats()
-        return stats
 
     # ------------------------------------------------------------------
     # Helpers
@@ -566,3 +373,69 @@ class QTurboCompiler:
                 seconds -= lp_seconds
             setattr(timings, stage, getattr(timings, stage) + seconds)
         return timings
+
+
+def describe_unit_state(unit: CompilationUnit, index: int) -> Dict[str, object]:
+    """JSON-serializable summary of a unit's state after one pass.
+
+    Backs ``repro compile --explain --at-pass <name>``: renders which
+    stage fields the pipeline prefix has populated and their headline
+    values, without leaking non-serializable objects (systems, Pauli
+    keys) into the CLI output.
+
+    Parameters
+    ----------
+    unit:
+        A :class:`~repro.core.pipeline.unit.CompilationUnit` captured
+        right after pass ``index`` ran.
+    index:
+        Pipeline index of the inspected pass.
+
+    Returns
+    -------
+    dict
+        The state summary (safe for ``json.dumps``).
+    """
+    state: Dict[str, object] = {
+        "pass_index": index,
+        "source": "replay",
+        "passes_run": [record.name for record in unit.records],
+        "segments": unit.num_segments,
+    }
+    if unit.fusion_plan is not None:
+        state["fusion"] = {
+            "pruned_channels": len(unit.fusion_plan.pruned_channels),
+            "fused_groups": len(unit.fusion_plan.groups),
+        }
+    if unit.system is not None:
+        rows, cols = unit.system.matrix.shape
+        state["linear_system"] = {"rows": rows, "cols": cols}
+    if unit.linear_solutions:
+        state["linear_residual_l1"] = sum(
+            solution.residual_l1 for solution in unit.linear_solutions
+        )
+    if unit.components:
+        state["partition"] = {
+            "components": len(unit.components),
+            "fixed": len(unit.fixed_strategies),
+            "dynamic": len(unit.dynamic_strategies),
+        }
+    if unit.t_all:
+        state["t_all"] = [float(t) for t in unit.t_all]
+    if unit.fixed_values:
+        state["fixed_values"] = {
+            name: float(value) for name, value in sorted(unit.fixed_values.items())
+        }
+        state["feasibility_iterations"] = unit.feasibility_iterations
+    if unit.segment_times:
+        state["segment_times"] = [float(t) for t in unit.segment_times]
+    if unit.segment_eps2:
+        state["eps2_total"] = float(sum(unit.segment_eps2))
+        state["refinement_applied"] = unit.refinement_applied
+    if unit.schedule is not None:
+        state["schedule_segments"] = unit.schedule.num_segments
+    if unit.result is not None:
+        state["result"] = unit.result.summary()
+    if unit.warnings:
+        state["warnings"] = list(unit.warnings)
+    return state

@@ -194,16 +194,6 @@ class GlobalLinearSystem:
         self._lower, self._upper = self._build_bounds()
         self._plan: "BlockPlan | None" = None
 
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        # Systems pickled before the block plan (snapshot families carry
-        # no code version) hold a dense ``_pinv`` instead; drop it and
-        # let the plan build on first solve.
-        state = dict(state)
-        state.pop("_pinv", None)
-        state.pop("factorization_reuses", None)
-        state.setdefault("_plan", None)
-        self.__dict__.update(state)
-
     # ------------------------------------------------------------------
     def _build_matrix(self) -> sparse.csr_matrix:
         data, row_idx, col_idx = [], [], []

@@ -6,27 +6,10 @@
 recording wall-time, cache-hit, and residual diagnostics into the
 unit's :class:`PassRecord` trace.  :class:`~repro.core.QTurboCompiler`
 is a thin façade over the default pipeline; experiment specs and the
-CLI configure alternates through :class:`PipelineConfig`.
-
-Incremental compilation rides the same seam: every pass declares its
-invalidation inputs (:data:`PASS_INVALIDATION`), the
-:mod:`~repro.core.pipeline.delta` module digests targets into families,
-and the :class:`SnapshotStore` persists per-pass unit snapshots so
-coefficient-only deltas re-enter the pipeline at the first invalidated
-pass instead of compiling cold.  See ``docs/compilation.md``.
+CLI configure alternates through :class:`PipelineConfig`.  See
+``docs/compilation.md``.
 """
 
-from repro.core.pipeline.delta import (
-    INVALIDATION_INPUTS,
-    coefficient_digest,
-    compiler_fingerprint,
-    describe_unit_state,
-    family_name,
-    reentry_index,
-    structure_digest,
-    unit_digest,
-    validate_invalidation,
-)
 from repro.core.pipeline.manager import CompilerPass, PassManager, trace_table
 from repro.core.pipeline.passes import (
     BuildLinearSystemPass,
@@ -43,17 +26,11 @@ from repro.core.pipeline.passes import (
 from repro.core.pipeline.registry import (
     DEFAULT_PASSES,
     OPTIONAL_PASSES,
-    PASS_INVALIDATION,
     PASS_REGISTRY,
     PipelineConfig,
     build_pipeline,
     normalize_passes_config,
     resolve_pass_names,
-)
-from repro.core.pipeline.snapshot import (
-    SnapshotStore,
-    reset_snapshot_stores,
-    snapshot_cache_stats,
 )
 from repro.core.pipeline.unit import CompilationUnit, PassRecord
 
@@ -74,23 +51,10 @@ __all__ = [
     "FusionPlan",
     "linear_system_key",
     "PASS_REGISTRY",
-    "PASS_INVALIDATION",
     "DEFAULT_PASSES",
     "OPTIONAL_PASSES",
     "PipelineConfig",
     "normalize_passes_config",
     "resolve_pass_names",
     "build_pipeline",
-    "SnapshotStore",
-    "snapshot_cache_stats",
-    "reset_snapshot_stores",
-    "INVALIDATION_INPUTS",
-    "structure_digest",
-    "coefficient_digest",
-    "unit_digest",
-    "compiler_fingerprint",
-    "family_name",
-    "reentry_index",
-    "describe_unit_state",
-    "validate_invalidation",
 ]

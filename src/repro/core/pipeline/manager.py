@@ -23,7 +23,7 @@ from __future__ import annotations
 import abc
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.pipeline.unit import CompilationUnit, PassRecord
 
@@ -41,17 +41,6 @@ class CompilerPass(abc.ABC):
 
     #: Registry name; also the key used by ``compiler.passes`` specs.
     name: str = "pass"
-
-    #: Which target properties invalidate this pass's stored output —
-    #: the incremental-compilation contract (see
-    #: :mod:`repro.core.pipeline.delta` and ``docs/compilation.md``).
-    #: ``"structure"`` means the pass reads *which* Pauli terms the
-    #: target drives; ``"coefficients"`` means it also reads their
-    #: numeric values (or segment durations).  A coefficient-only delta
-    #: re-enters the pipeline at the first pass declaring
-    #: ``"coefficients"``; passes before it carry over from the donor
-    #: snapshot.  The default is conservative: invalidate on everything.
-    invalidation: Tuple[str, ...] = ("structure", "coefficients")
 
     def __init__(self) -> None:
         # Pass instances are shared across threads (the batch layer
@@ -122,7 +111,6 @@ class PassManager:
         self,
         unit: CompilationUnit,
         context,
-        start_at: int = 0,
         observer: Optional[Callable[[int, CompilerPass, CompilationUnit], None]] = None,
     ) -> CompilationUnit:
         """Execute the passes in order, timing each into ``unit.records``.
@@ -137,17 +125,12 @@ class PassManager:
             The IR being compiled.
         context:
             The owning compiler (knobs + structural caches).
-        start_at:
-            Pipeline index to begin at.  A delta re-entry passes the
-            first invalidated pass's index here, with ``unit`` restored
-            from the donor snapshot taken just before that pass.
         observer:
             Called as ``observer(index, compiler_pass, unit)`` after
-            each pass *succeeds* — the snapshot hook used to serialize
-            per-pass unit states during a cold compile.
+            each pass *succeeds* — the hook ``explain_at_pass`` uses to
+            capture the unit's state after one pass.
         """
-        for index in range(start_at, len(self.passes)):
-            compiler_pass = self.passes[index]
+        for index, compiler_pass in enumerate(self.passes):
             tick = time.perf_counter()
             try:
                 unit = compiler_pass.run(unit, context)

@@ -185,9 +185,7 @@ def linear_system_key(unit: CompilationUnit) -> Tuple[PauliString, ...]:
     The sorted set of non-identity target terms across every segment,
     mapped through the unit's fusion plan when one is installed — the
     same key :class:`BuildLinearSystemPass` uses to fetch or build the
-    :class:`~repro.core.linear_system.GlobalLinearSystem`.  The snapshot
-    store records it alongside a donor compile so a delta compile can
-    seed the compiler's system cache without re-deriving the key.
+    :class:`~repro.core.linear_system.GlobalLinearSystem`.
     """
     extra_terms: List[PauliString] = []
     for segment in unit.target.segments:
@@ -212,11 +210,9 @@ class BuildLinearSystemPass(CompilerPass):
     and right-hand sides are used instead, and the pruned channels'
     synthesized variables are pinned to zero.
 
-    Invalidation inputs: ``structure`` (the term set shapes the matrix)
-    and ``coefficients`` (the right-hand sides are built from them), so
-    this is where a coefficient-only delta re-enters the default
-    pipeline — the matrix and its block plan still arrive from the
-    shared-system cache.  Diagnostics name the solve that ran:
+    Targets with the same term structure share the matrix and its block
+    plan through the compiler's system cache; only the right-hand sides
+    are rebuilt.  Diagnostics name the solve that ran:
     ``solver="lsq_linear"`` for sign-constrained systems, with
     ``bounded_path`` naming how each segment was solved (``unbounded``,
     ``trf_exact`` or ``trf_lsmr``; distinct paths joined by ``+`` in
@@ -225,7 +221,6 @@ class BuildLinearSystemPass(CompilerPass):
     """
 
     name = "build_linear_system"
-    invalidation = ("structure", "coefficients")
 
     def run(self, unit: CompilationUnit, context) -> CompilationUnit:
         """Build and solve the global linear system for every segment."""
@@ -300,13 +295,9 @@ class PartitionPass(CompilerPass):
     The partition depends only on the AAIS channels, so the compiler
     memoizes it across compilations; this pass reads the memo and splits
     the strategies into runtime-fixed and runtime-dynamic groups.
-
-    Invalidation inputs: none — the partition never reads the target,
-    so no target change invalidates its stored output.
     """
 
     name = "partition"
-    invalidation = ()
 
     def run(self, unit: CompilationUnit, context) -> CompilationUnit:
         """Partition the channels and select per-component solvers."""
@@ -330,13 +321,9 @@ class PartitionPass(CompilerPass):
 
 class TimeOptimizationPass(CompilerPass):
     """Stage 3 (§5.1): per-segment bottleneck evolution times.
-
-    Invalidation inputs: ``structure`` and ``coefficients`` — the
-    bottleneck times are functions of the per-segment linear solutions.
     """
 
     name = "time_optimization"
-    invalidation = ("structure", "coefficients")
 
     def run(self, unit: CompilationUnit, context) -> CompilationUnit:
         """Compute dynamic-only and all-component bottleneck times."""
@@ -365,13 +352,9 @@ class FixedSolvePass(CompilerPass):
     hardware constraints hold; then fixes each segment's final time and
     overwrites the fixed channels' synthesized targets with the values
     those positions actually achieve.
-
-    Invalidation inputs: ``structure`` and ``coefficients`` — the
-    anchor segment and solved positions depend on the numeric α values.
     """
 
     name = "fixed_solve"
-    invalidation = ("structure", "coefficients")
 
     def run(self, unit: CompilationUnit, context) -> CompilationUnit:
         """Solve fixed components and derive per-segment times."""
@@ -423,9 +406,6 @@ class RefinementPass(CompilerPass):
     program), then solve each dynamic component's amplitude variables at
     the segment's final time and accumulate the local ε₂ residuals.
 
-    Invalidation inputs: ``structure`` and ``coefficients`` — both the
-    LP and the dynamic solves consume the numeric targets.
-
     Parameters
     ----------
     apply_refinement:
@@ -434,7 +414,6 @@ class RefinementPass(CompilerPass):
     """
 
     name = "refinement"
-    invalidation = ("structure", "coefficients")
 
     def __init__(self, apply_refinement: bool = True):
         super().__init__()
@@ -499,13 +478,9 @@ class EmitSchedulePass(CompilerPass):
     the :class:`~repro.pulse.schedule.PulseSchedule`, validates it
     against the hardware constraints, and writes the
     :class:`~repro.core.result.CompilationResult` into the unit.
-
-    Invalidation inputs: ``structure`` and ``coefficients`` — the
-    emitted schedule is the fully numeric end product.
     """
 
     name = "emit_schedule"
-    invalidation = ("structure", "coefficients")
 
     def run(self, unit: CompilationUnit, context) -> CompilationUnit:
         """Emit the pulse schedule and the compilation result."""
@@ -720,12 +695,9 @@ class TermFusionPass(CompilerPass):
     report a combined residual), so the pass is opt-in rather than part
     of the default pipeline.
 
-    Invalidation inputs: ``structure`` only — the plan is a pure
-    function of the channels and the *set* of targeted terms (built
-    with the same ``> 1e-12`` drop threshold Hamiltonian construction
-    applies, so equal structure digests select equal plans).  A
-    coefficient-only delta therefore carries the donor's fusion plan
-    and re-enters the pipeline after this pass.
+    The plan is a pure function of the channels and the *set* of
+    targeted terms (built with the same ``> 1e-12`` drop threshold
+    Hamiltonian construction applies).
 
     Parameters
     ----------
@@ -734,7 +706,6 @@ class TermFusionPass(CompilerPass):
     """
 
     name = "term_fusion"
-    invalidation = ("structure",)
 
     #: Plans are pure functions of (channels, targeted terms); channels
     #: are fixed per compiler, so a small per-pass memo keyed on the
@@ -890,9 +861,6 @@ class ScheduleCompactionPass(CompilerPass):
     segment is always kept — an all-idle program still needs a
     schedule.
 
-    Invalidation inputs: ``structure`` and ``coefficients`` — nullness
-    is decided from solved numeric values.
-
     Parameters
     ----------
     tol:
@@ -900,7 +868,6 @@ class ScheduleCompactionPass(CompilerPass):
     """
 
     name = "schedule_compaction"
-    invalidation = ("structure", "coefficients")
 
     def __init__(self, tol: float = 1e-9):
         super().__init__()

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union
 
-from repro.core.pipeline.delta import validate_invalidation
 from repro.core.pipeline.manager import CompilerPass, PassManager
 from repro.core.pipeline.passes import (
     BuildLinearSystemPass,
@@ -33,7 +32,6 @@ from repro.errors import CompilationError
 
 __all__ = [
     "PASS_REGISTRY",
-    "PASS_INVALIDATION",
     "DEFAULT_PASSES",
     "OPTIONAL_PASSES",
     "PipelineConfig",
@@ -53,19 +51,6 @@ PASS_REGISTRY: Dict[str, Type[CompilerPass]] = {
     ScheduleCompactionPass.name: ScheduleCompactionPass,
     EmitSchedulePass.name: EmitSchedulePass,
 }
-
-#: Each registered pass's declared invalidation inputs — the
-#: incremental-compilation contract (``docs/compilation.md``).  A
-#: coefficient-only delta re-enters the pipeline at the first pass
-#: whose inputs include ``"coefficients"``; everything before it
-#: carries over from the family's donor snapshot.
-PASS_INVALIDATION: Dict[str, Tuple[str, ...]] = {
-    name: tuple(cls.invalidation) for name, cls in PASS_REGISTRY.items()
-}
-
-for _name, _inputs in PASS_INVALIDATION.items():
-    for _problem in validate_invalidation(_name, _inputs):
-        raise CompilationError(_problem)
 
 #: The behavior-preserving default pipeline, in order.
 DEFAULT_PASSES: Tuple[str, ...] = (

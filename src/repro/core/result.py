@@ -111,11 +111,6 @@ class CompilationResult:
     #: diagnostics) from the pipeline run that produced this result;
     #: render with :func:`repro.core.pipeline.trace_table`.
     pass_trace: List[Dict] = field(default_factory=list)
-    #: How incremental compilation served this result: None for a cold
-    #: (or snapshot-disabled) compile, else ``{"mode": "identical",
-    #: "family": ...}`` or ``{"mode": "delta", "family": ...,
-    #: "reentry_index": k, "reentry_pass": name}``.
-    incremental: Optional[Dict] = None
 
     # ------------------------------------------------------------------
     @property

@@ -15,7 +15,6 @@ API); see ``docs/experiments.md`` for the record schema.
 
 from __future__ import annotations
 
-import shutil
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -42,17 +41,11 @@ from repro.testing.faults import fault_point
 __all__ = ["ExperimentRunner", "RunResult", "run_experiment"]
 
 
-def _build_workload(
-    spec: ExperimentSpec, job_id: str, snapshot_dir: Optional[str] = None
-):
+def _build_workload(spec: ExperimentSpec, job_id: str):
     """Build ``(batch_job, time_independent_target, num_qubits)`` for a spec.
 
     The time-independent target comes back ``None`` for time-dependent
-    models (it only feeds the digital gate-count comparison).  The
-    ``compiler.snapshots`` knob resolves here: a string names an
-    explicit snapshot directory, ``false`` disables incremental
-    compilation, and ``true`` (the default) uses the runner-provided
-    ``snapshot_dir`` — so sweeps delta-compile automatically.
+    models (it only feeds the digital gate-count comparison).
     """
     from repro.aais import aais_for_device
     from repro.hamiltonian import parse_hamiltonian
@@ -61,11 +54,6 @@ def _build_workload(
     model = spec.model
     params = dict(model.params)
     compiler_options = dict(spec.compiler)
-    snapshots = compiler_options.pop("snapshots", True)
-    if isinstance(snapshots, str):
-        compiler_options["snapshots"] = snapshots
-    elif snapshots and snapshot_dir is not None:
-        compiler_options["snapshots"] = snapshot_dir
     if model.hamiltonian is not None:
         target = parse_hamiltonian(model.hamiltonian)
         num_qubits = max(model.qubits, target.num_qubits())
@@ -115,8 +103,6 @@ def _compile_section(result) -> Dict[str, object]:
     if result.pass_trace:
         section["passes"] = list(result.pass_trace)
         section["stage_timings"] = result.stage_timings.as_dict()
-    if getattr(result, "incremental", None):
-        section["incremental"] = dict(result.incremental)
     if result.warnings:
         section["warnings"] = list(result.warnings)
     return section
@@ -190,7 +176,6 @@ def execute_job(
     job_id: str = "job0000-adhoc",
     index: int = 0,
     seed: int = 0,
-    snapshot_dir: Optional[str] = None,
     retry: Optional[RetryPolicy] = None,
 ) -> Dict[str, object]:
     """Run every stage of one resolved spec and return its job record.
@@ -203,10 +188,6 @@ def execute_job(
     (retried now and on resume when the failure class is transient).
     Every attempt rebuilds all stage sections from scratch, so a
     retried-to-success record is bit-identical to a first-try success.
-
-    ``snapshot_dir`` is the runner-managed incremental-compilation
-    store the job's compiler uses unless the spec overrides
-    ``compiler.snapshots``.
     """
     tick = time.perf_counter()
     record: Dict[str, object] = {
@@ -219,9 +200,7 @@ def execute_job(
     def _attempt() -> Dict[str, object]:
         fault_point("runner.job")
         sections: Dict[str, object] = {}
-        job, flat_target, num_qubits = _build_workload(
-            spec, job_id, snapshot_dir
-        )
+        job, flat_target, num_qubits = _build_workload(spec, job_id)
         sections["num_qubits"] = num_qubits
         if spec.digital is not None and flat_target is not None:
             sections["digital"] = _digital_section(spec, flat_target)
@@ -267,10 +246,10 @@ def execute_job(
 
 
 def _execute_payload(
-    payload: Tuple[int, str, Dict, int, Optional[str], Optional[Dict]],
+    payload: Tuple[int, str, Dict, int, Optional[Dict]],
 ) -> Dict[str, object]:
     """Module-level worker so the process executor can pickle it."""
-    index, job_id, spec_dict, seed, snapshot_dir, policy_dict = payload
+    index, job_id, spec_dict, seed, policy_dict = payload
     spec = ExperimentSpec.from_dict(spec_dict)
     retry = RetryPolicy(**policy_dict) if policy_dict else None
     return execute_job(
@@ -278,13 +257,12 @@ def _execute_payload(
         job_id=job_id,
         index=index,
         seed=seed,
-        snapshot_dir=snapshot_dir,
         retry=retry,
     )
 
 
 def _failure_record(
-    payload: Tuple[int, str, Dict, int, Optional[str], Optional[Dict]],
+    payload: Tuple[int, str, Dict, int, Optional[Dict]],
     error: BaseException,
 ) -> Dict[str, object]:
     """Record for a job the *executor* failed (deadline kill, worker
@@ -368,12 +346,6 @@ class ExperimentRunner:
     chunksize:
         Override the spec's ``execution.chunksize`` (jobs per
         process-pool dispatch chunk).
-    snapshots:
-        Manage an incremental-compilation snapshot store at
-        ``<run-dir>/snapshots`` (default True): sweep jobs sharing a
-        compile family delta-compile instead of compiling cold, and
-        the store survives across invocations for resumed runs.
-        Specs can still override per-job via ``compiler.snapshots``.
     retries:
         Override the spec's ``execution.retries`` — extra attempts per
         job after a transient failure (see ``docs/robustness.md``).
@@ -389,7 +361,6 @@ class ExperimentRunner:
         executor: Optional[str] = None,
         workers: Optional[int] = None,
         chunksize: Optional[int] = None,
-        snapshots: bool = True,
         retries: Optional[int] = None,
         retry_backoff: Optional[float] = None,
         job_timeout: Optional[float] = None,
@@ -397,7 +368,6 @@ class ExperimentRunner:
         self.executor = executor
         self.workers = workers
         self.chunksize = chunksize
-        self.snapshots = bool(snapshots)
         self.retries = retries
         self.retry_backoff = retry_backoff
         self.job_timeout = job_timeout
@@ -435,13 +405,6 @@ class ExperimentRunner:
         jobs = self.plan(spec)
         store = ArtifactStore(run_dir)
         store.initialize(spec, jobs, force=force)
-
-        snapshot_dir: Optional[str] = None
-        if self.snapshots:
-            snapshot_path = Path(run_dir) / "snapshots"
-            if force and snapshot_path.exists():
-                shutil.rmtree(snapshot_path)
-            snapshot_dir = str(snapshot_path)
 
         pending = [
             job
@@ -483,7 +446,7 @@ class ExperimentRunner:
         )
         payloads = [
             (job.index, job.job_id, job.spec.to_dict(), job.seed,
-             snapshot_dir, policy_dict)
+             policy_dict)
             for job in pending
         ]
         fresh = executor.run(
@@ -523,7 +486,6 @@ def run_experiment(
     workers: Optional[int] = None,
     chunksize: Optional[int] = None,
     force: bool = False,
-    snapshots: bool = True,
     retries: Optional[int] = None,
     retry_backoff: Optional[float] = None,
     job_timeout: Optional[float] = None,
@@ -533,7 +495,6 @@ def run_experiment(
         executor=executor,
         workers=workers,
         chunksize=chunksize,
-        snapshots=snapshots,
         retries=retries,
         retry_backoff=retry_backoff,
         job_timeout=job_timeout,

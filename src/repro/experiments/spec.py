@@ -57,7 +57,6 @@ _COMPILER_KNOBS = frozenset(
         "max_feasibility_iters",
         "system_cache_size",
         "passes",
-        "snapshots",
     }
 )
 
@@ -129,21 +128,8 @@ def _normalize_compiler(section: Mapping) -> Dict[str, object]:
     pass registry at load time and frozen into the hashable pair form
     that travels through batch-job keys; a default (empty) config is
     dropped entirely so it never perturbs the spec hash.
-
-    ``snapshots`` is special-cased the same way: it must be a boolean
-    (opt in/out of the runner-managed snapshot store) or a string (an
-    explicit store directory), and the default ``true`` is dropped so
-    pre-existing specs keep their spec hash.
     """
     out = dict(section)
-    snapshots = out.get("snapshots")
-    if snapshots is not None and not isinstance(snapshots, (bool, str)):
-        raise ExperimentError(
-            "compiler.snapshots must be a boolean or a directory path, "
-            f"got {snapshots!r}"
-        )
-    if snapshots is True:
-        out.pop("snapshots")
     if "passes" in out:
         from repro.core.pipeline import normalize_passes_config
         from repro.errors import CompilationError

@@ -36,8 +36,8 @@ def atomic_write_bytes(path: Path, payload: bytes) -> None:
     one path can never interleave partial content or steal each
     other's temp file; readers see either the old file or the new one,
     never a torn write.  This is the one write discipline every
-    on-disk store in the repo follows — the snapshot store, the
-    artifact store, and the service result store.
+    on-disk store in the repo follows — the artifact store and the
+    service result store.
     """
     tmp = path.with_name(
         f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp"

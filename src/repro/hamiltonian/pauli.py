@@ -44,7 +44,7 @@ def _restore_pauli(ops) -> "PauliString":
 
     Bypasses constructor validation (the ops were normalized when the
     string was first built) — unpickling sits on the hot path of
-    snapshot loads and process-pool dispatch.
+    process-pool dispatch.
     """
     string = PauliString.__new__(PauliString)
     string._ops = ops

@@ -11,11 +11,9 @@ dependencies) in front of a :class:`ServiceState`:
   across restarts and across tenants;
 * misses flow through the :class:`~repro.service.queue.JobQueue`,
   whose worker drains concurrent arrivals into one coalesced
-  :meth:`~repro.batch.BatchCompiler.compile_many` batch over a single
-  *shared* :class:`~repro.core.pipeline.snapshot.SnapshotStore`, so
-  even cold requests skip whole pass-pipeline prefixes whenever any
-  earlier request (from any tenant, in any process) committed a donor
-  of the same compile family.
+  :meth:`~repro.batch.BatchCompiler.compile_many` batch; jobs on the
+  same device share one memoized worker compiler, so repeat structures
+  reuse its in-memory linear-system cache and partition memo.
 
 The HTTP surface is defined in :mod:`repro.service.routes`; the
 wire-level client in :mod:`repro.service.client`; the store layout and
@@ -35,7 +33,6 @@ from typing import Dict, List, Optional, Union
 from repro import __version__
 from repro.batch.compiler import BatchCompiler
 from repro.batch.jobs import BatchJob
-from repro.core.pipeline.snapshot import SnapshotStore
 from repro.errors import ReproError
 from repro.service.queue import Job, JobQueue
 from repro.service.routes import ServiceError, dispatch
@@ -58,8 +55,8 @@ class ServiceConfig:
         bound port is in :attr:`ReproService.url`).
     data_dir:
         Root of the persistent state: ``results/`` (content-addressed
-        job records), ``snapshots/`` (the shared compile-family store),
-        and ``runs/`` (experiment-run artifact directories).
+        job records) and ``runs/`` (experiment-run artifact
+        directories).
     executor / workers:
         Batch executor the queue worker compiles through.
     linger / batch_max:
@@ -68,11 +65,9 @@ class ServiceConfig:
     wait_timeout:
         Default seconds a synchronous (``wait=true``) request blocks
         before returning 202 with the job descriptor instead.
-    max_families / max_store_bytes:
-        Snapshot-store GC caps, enforced after every batch (None
-        disables a cap).
     max_results / max_result_bytes:
-        Result-store GC caps, enforced after every batch.
+        Result-store GC caps, enforced after every batch (None
+        disables a cap).
     """
 
     host: str = "127.0.0.1"
@@ -83,8 +78,6 @@ class ServiceConfig:
     linger: float = 0.02
     batch_max: int = 64
     wait_timeout: float = 300.0
-    max_families: Optional[int] = None
-    max_store_bytes: Optional[int] = None
     max_results: Optional[int] = None
     max_result_bytes: Optional[int] = None
 
@@ -104,8 +97,6 @@ def _compile_payload(result) -> Dict[str, object]:
         payload["schedule"] = result.schedule.to_dict()
     else:
         payload["message"] = result.message
-    if getattr(result, "incremental", None):
-        payload["incremental"] = dict(result.incremental)
     return payload
 
 
@@ -124,7 +115,6 @@ class ServiceState:
         self.data_dir = Path(config.data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.results = ResultStore(self.data_dir / "results")
-        self.snapshots = SnapshotStore(self.data_dir / "snapshots")
         self.runs_dir = self.data_dir / "runs"
         self.batch = BatchCompiler(
             executor=config.executor, workers=config.workers
@@ -214,7 +204,6 @@ class ServiceState:
             },
             "queue": self.queue.stats(),
             "results": self.results.stats(),
-            "snapshots": self.snapshots.stats(),
         }
 
     # ------------------------------------------------------------------
@@ -276,9 +265,7 @@ class ServiceState:
         else:
             target = parse_hamiltonian(hamiltonian)
         aais = aais_for_device(device, max(qubits, target.num_qubits()))
-        options: Dict[str, object] = {
-            "snapshots": str(self.snapshots.root)
-        }
+        options: Dict[str, object] = {}
         if "refine" in request:
             options["refine"] = bool(request["refine"])
         passes = request.get("passes")
@@ -327,7 +314,7 @@ class ServiceState:
         job.finish(self.results.load(job.digest) or {**record, "digest": job.digest})
 
     def _execute_compiles(self, jobs: List[Job]) -> None:
-        """One coalesced batch compile over the shared snapshot store."""
+        """One coalesced batch compile of the drained compile jobs."""
         batch = self.batch.compile_many(
             [job.prepared for job in jobs], coalesce=True
         )
@@ -338,7 +325,7 @@ class ServiceState:
                 job.fail(f"{outcome.error_type}: {outcome.error}")
 
     def _execute_simulate(self, job: Job) -> None:
-        """Compile (through the shared store) then simulate one request."""
+        """Compile (through the shared worker compiler) then simulate."""
         from repro.batch.compiler import compiler_for
         from repro.sim import NoisySimulator
 
@@ -382,11 +369,6 @@ class ServiceState:
     def _maybe_gc(self) -> None:
         """Enforce the configured store caps after a batch."""
         config = self.config
-        if config.max_families is not None or config.max_store_bytes is not None:
-            self.snapshots.gc(
-                max_families=config.max_families,
-                max_bytes=config.max_store_bytes,
-            )
         if config.max_results is not None or config.max_result_bytes is not None:
             self.results.gc(
                 max_results=config.max_results,

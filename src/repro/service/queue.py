@@ -15,7 +15,7 @@ pins down:
   concurrent compile requests run through
   :meth:`repro.batch.BatchCompiler.compile_many` with
   ``coalesce=True`` — structurally similar compiles execute adjacently
-  and share snapshot families, linear systems, and worker compilers.
+  and share linear systems and worker compilers.
 
 The queue is executor-agnostic: it owns threading and bookkeeping, and
 delegates actual work to the ``execute_batch`` callable the service

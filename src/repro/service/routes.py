@@ -21,7 +21,7 @@ Endpoints
     Descriptor (+ result once done) of a submitted job; also resolves
     digests served straight from the persistent store.
 ``GET /v1/stats``
-    Service, queue, result-store, and snapshot-store counters.
+    Service, queue, and result-store counters.
 """
 
 from __future__ import annotations

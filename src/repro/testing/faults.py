@@ -18,8 +18,7 @@ invocation indices — or with a seeded coin — and performs one action:
     (killing the test process would prove nothing).
 ``corrupt``
     Scribble over the file the site just wrote (sites that manage
-    artifacts pass their path).  Drives torn-record and snapshot-blob
-    fallback paths.
+    artifacts pass their path).  Drives torn-record fallback paths.
 
 Determinism
 -----------
@@ -65,7 +64,6 @@ FAULT_SITES = (
     "sim.run",  # repro.sim.noise — entry of NoisySimulator.run
     "store.write_job",  # repro.experiments.store — after a job record lands
     "store.write_report",  # repro.experiments.store — after report.json lands
-    "snapshot.blob",  # repro.core.pipeline.snapshot — after each blob lands
     "service.result",  # repro.service.store — after a result record lands
 )
 

@@ -75,17 +75,28 @@ class TestSpecValidation:
         ]
 
     @pytest.mark.parametrize(
-        "section, sweep, field",
+        "section, extra, field",
         [
-            ({"backend": "sparse"}, None, "simulation.backend"),
-            ({"vectorized": False}, None, "vectorized"),
-            ({}, {"simulation.vectorized": [True, False]}, "vectorized"),
+            ({"backend": "sparse"}, {}, "simulation.backend"),
+            ({"vectorized": False}, {}, "vectorized"),
+            (
+                {},
+                {"sweep": {"simulation.vectorized": [True, False]}},
+                "vectorized",
+            ),
+            ({}, {"compiler": {"snapshots": True}}, "snapshots"),
         ],
-        ids=["backend-sparse", "vectorized", "sweep-vectorized"],
+        ids=[
+            "backend-sparse",
+            "vectorized",
+            "sweep-vectorized",
+            "compiler-snapshots",
+        ],
     )
-    def test_retired_simulation_inputs_rejected(self, section, sweep, field):
-        """The sparse backend and the legacy-loop flag fail loudly."""
-        extra = {"sweep": sweep} if sweep else {}
+    def test_retired_simulation_inputs_rejected(self, section, extra, field):
+        """Retired inputs fail loudly and name the key: the sparse
+        backend, the legacy-loop flag, and the incremental-compilation
+        ``compiler.snapshots`` knob."""
         with pytest.raises(ExperimentError, match=field):
             _spec(simulation=dict(_sim_section(), **section), **extra)
 

@@ -556,36 +556,6 @@ class TestResumeAfterCrash:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot-blob corruption degrades to a cold compile
-# ---------------------------------------------------------------------------
-
-
-class TestSnapshotCorruption:
-    def test_corrupt_blob_falls_back_to_cold_compile(self, tmp_path):
-        from repro.core import QTurboCompiler
-
-        aais = _aais(3)
-        target = ising_chain(3)
-        store_dir = str(tmp_path / "snapshots")
-        with inject_faults(
-            FaultRule(
-                site="snapshot.blob",
-                action="corrupt",
-                at=tuple(range(64)),
-            )
-        ):
-            first = QTurboCompiler(aais, snapshots=store_dir).compile(
-                target, t_target=1.0
-            )
-            second = QTurboCompiler(aais, snapshots=store_dir).compile(
-                target, t_target=1.0
-            )
-        assert first.success and second.success
-        reference = QTurboCompiler(_aais(3)).compile(target, t_target=1.0)
-        assert second.execution_time == reference.execution_time
-
-
-# ---------------------------------------------------------------------------
 # Harness + CLI plumbing
 # ---------------------------------------------------------------------------
 

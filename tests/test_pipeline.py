@@ -402,6 +402,25 @@ class TestBatchPassCacheStats:
         reset_worker_compilers()
 
 
+class TestExplainAtPass:
+    def test_replay_after_each_default_pass(self):
+        compiler = QTurboCompiler(RydbergAAIS(3, spec=paper_example_spec()))
+        target = PiecewiseHamiltonian.constant(ising_chain(3), 1.0)
+        for index, name in enumerate(DEFAULT_PASSES):
+            state = compiler.explain_at_pass(target, name)
+            assert state["source"] == "replay"
+            assert state["pass_index"] == index
+            assert state["passes_run"] == list(DEFAULT_PASSES[: index + 1])
+        assert state["schedule_segments"] == 1
+        assert "result" in state
+
+    def test_unknown_pass_rejected(self):
+        compiler = QTurboCompiler(RydbergAAIS(3, spec=paper_example_spec()))
+        target = PiecewiseHamiltonian.constant(ising_chain(3), 1.0)
+        with pytest.raises(CompilationError, match="unknown pass"):
+            compiler.explain_at_pass(target, "nonesuch")
+
+
 class TestCLIExplain:
     def test_compile_explain_prints_trace(self, capsys):
         from repro.cli import main
@@ -451,6 +470,40 @@ class TestCLIExplain:
         )
         assert code == 2
         assert "unknown compiler pass" in capsys.readouterr().err
+
+    def test_compile_at_pass_json(self, capsys):
+        import json
+
+        from repro.cli import main
+
+        code = main(
+            [
+                "compile",
+                "--model",
+                "ising_chain",
+                "-n",
+                "3",
+                "--explain",
+                "--at-pass",
+                "partition",
+                "--output",
+                "json",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["at_pass"]["source"] == "replay"
+        assert payload["at_pass"]["pass_index"] == 1
+        assert payload["at_pass"]["partition"]["components"] >= 1
+
+    def test_at_pass_requires_explain(self, capsys):
+        from repro.cli import main
+
+        code = main(
+            ["compile", "--model", "ising_chain", "--at-pass", "partition"]
+        )
+        assert code == 2
+        assert "--at-pass requires --explain" in capsys.readouterr().err
 
     def test_cache_stats_includes_compiler_section(self, capsys):
         import json

@@ -303,26 +303,25 @@ def test_no_refine_matches_seed():
 
 @pytest.mark.parametrize("device", DEVICES)
 @pytest.mark.parametrize("model", model_names())
-def test_delta_compile_matches_seed_compiler(model, device, tmp_path):
-    """A delta re-entry over a carried donor prefix is bit-identical.
+def test_delta_compile_matches_seed_compiler(model, device):
+    """A coefficient-only delta on a warm compiler is bit-identical.
 
-    The donor compiles at t=1.0 and populates the snapshot store; the
-    sweep point at t=1.3 shares the donor's structure (same nonzero
-    terms) but not its coefficients, so a fresh compiler serves it as a
-    delta — which must equal the frozen seed compiler bit for bit.
+    The compile at t=1.0 fills the compiler's linear-system cache and
+    partition memo; the point at t=1.3 drives the same nonzero terms
+    with other coefficients, so it reuses both — and must still equal
+    the frozen seed compiler bit for bit.
     """
     qubits = _MIN_QUBITS.get(model, QUBITS)
     target = build_model(model, qubits)
     aais = aais_for_device(device, max(qubits, target.num_qubits()))
-    store = str(tmp_path / "snapshots")
-    donor = QTurboCompiler(aais, snapshots=store).compile_piecewise(
-        PiecewiseHamiltonian.constant(target, 1.0)
-    )
-    assert donor.incremental is None
+    compiler = QTurboCompiler(aais)
+    compiler.compile_piecewise(PiecewiseHamiltonian.constant(target, 1.0))
     point = PiecewiseHamiltonian.constant(target, 1.3)
-    delta = QTurboCompiler(aais, snapshots=store).compile_piecewise(point)
-    assert delta.incremental is not None
-    assert delta.incremental["mode"] == "delta"
+    delta = compiler.compile_piecewise(point)
+    assert [record.get("cache_hit") for record in delta.pass_trace[:2]] == [
+        True,
+        True,
+    ]
     _assert_identical(delta, _seed_compile(aais, point))
 
 
@@ -347,8 +346,8 @@ def test_warm_service_schedule_matches_cold_compiler(
     """A schedule served from the persistent store is bit-identical to
     a cold in-process compile of the same workload.
 
-    The first submission executes through the service's shared snapshot
-    store and persists the result; the second must come back from the
+    The first submission executes through the service's worker compiler
+    and persists the result; the second must come back from the
     store (``source == "store"``) — and both must equal what a fresh
     ``QTurboCompiler`` produces offline, modulo nothing: JSON float
     serialization round-trips exactly, so the comparison is exact.

@@ -3,30 +3,21 @@
 The guarantees under test are the ones ``docs/service.md`` promises
 multi-tenant deployments:
 
-* **No torn reads** — a reader of the result store or the snapshot
-  store observes either nothing or a complete, digest-valid record,
-  never a partially written one, even with writers racing it and
-  ``corrupt`` faults injected at the write sites.
+* **No torn reads** — a reader of the result store observes either
+  nothing or a complete, digest-valid record, never a partially
+  written one, even with writers racing it and ``corrupt`` faults
+  injected at the write sites.
 * **No duplicate compiles** — N clients hammering one service with
   identical requests produce exactly one execution per unique digest
   (in-flight dedup) and at most one per store lifetime (persistent
   store), with every client observing the same bit-identical schedule.
-* **Cross-process store sharing** — compilers in separate OS processes
-  pointed at one snapshot root never corrupt each other; injected blob
-  corruption degrades to a cold recompile, never a wrong schedule.
 """
 
 import concurrent.futures
-import json
-import multiprocessing
 import threading
 
 import pytest
 
-from repro.aais import aais_for_device
-from repro.core import QTurboCompiler
-from repro.core.pipeline.snapshot import SnapshotStore
-from repro.models import ising_chain
 from repro.service import (
     ReproService,
     ResultStore,
@@ -162,57 +153,3 @@ def test_result_store_no_torn_reads_under_faults(tmp_path):
     assert violations == []
     stats = store.stats()
     assert stats["writes"] > 0 and stats["hits"] > 0
-
-
-# ----------------------------------------------------------------------
-# SnapshotStore: cross-process writers + blob corruption
-# ----------------------------------------------------------------------
-def _compile_shared(payload):
-    """Worker: one compile against the shared snapshot root."""
-    snapshot_dir, qubits, t_target = payload
-    target = ising_chain(qubits)
-    aais = aais_for_device("rydberg-1d", qubits)
-    compiler = QTurboCompiler(aais, snapshots=snapshot_dir)
-    result = compiler.compile(target, t_target)
-    assert result.success
-    return json.dumps(result.schedule.to_dict(), sort_keys=True)
-
-
-def test_shared_snapshot_store_across_processes(tmp_path):
-    snapshot_dir = str(tmp_path / "snapshots")
-    jobs = [(snapshot_dir, 3, 1.0)] * 6  # identical digests, racing
-    context = multiprocessing.get_context("spawn")
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=3, mp_context=context
-    ) as pool:
-        schedules = list(pool.map(_compile_shared, jobs))
-    assert all(s == schedules[0] for s in schedules)
-    store = SnapshotStore(snapshot_dir)
-    stats = store.disk_stats(deep=True)
-    # Racing writers of one family converge (determinism), never tear.
-    assert stats["families"] == 1 and stats["degraded"] == 0
-
-
-def test_shared_store_survives_blob_corruption(tmp_path):
-    snapshot_dir = str(tmp_path / "snapshots")
-    rule = FaultRule(
-        site="snapshot.blob", action="corrupt", probability=0.4
-    )
-    jobs = [(snapshot_dir, 3, 1.0)] * 4
-    context = multiprocessing.get_context("spawn")
-    with inject_faults(rule, seed=11):
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=2, mp_context=context
-        ) as pool:
-            schedules = list(pool.map(_compile_shared, jobs))
-    # Corruption degrades to cold recompiles — results stay identical.
-    assert all(s == schedules[0] for s in schedules)
-    # A clean compile afterwards heals whatever the faults scribbled.
-    healed = _compile_shared((snapshot_dir, 3, 1.0))
-    assert healed == schedules[0]
-    store = SnapshotStore(snapshot_dir)
-    stats = store.disk_stats(deep=True)
-    assert stats["families"] + stats["degraded"] >= 1
-    # GC sweeps any still-degraded family; the store ends clean.
-    store.gc()
-    assert store.disk_stats(deep=True)["degraded"] == 0

@@ -5,19 +5,28 @@ drives it with :class:`ServiceClient` over a real socket, and checks
 the service's answers against the offline CLI paths: a ``run`` job's
 report must carry the same aggregate fields as ``repro run`` on the
 same spec, and a warm resubmission must be served from the store
-without recompiling.  This is the test CI runs under a hard timeout —
-a wedged queue or a serve process that never binds fails fast.
+without recompiling.  A serve process killed mid-batch and restarted
+on the same data directory must answer every request again, bit for
+bit, with no torn record left behind.  This is the test CI runs under
+a hard timeout — a wedged queue or a serve process that never binds
+fails fast.
 """
 
+import dataclasses
 import json
 import os
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
+from repro.aais import aais_for_device
+from repro.core import QTurboCompiler
+from repro.models import build_model
 from repro.service import ServiceClient, ServiceClientError
+from repro.testing import FaultRule
 
 SPEC = {
     "name": "e2e-smoke",
@@ -29,10 +38,11 @@ SPEC = {
 }
 
 
-@pytest.fixture()
-def serve_proc(tmp_path):
-    """A real ``repro serve`` subprocess bound to an ephemeral port."""
+def _start_serve(data_dir, *args, env_extra=None):
+    """Launch ``repro serve`` on an ephemeral port; returns (proc, url)."""
     env = dict(os.environ)
+    env.pop("REPRO_FAULT_PLAN", None)
+    env.update(env_extra or {})
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [
             os.path.join(os.path.dirname(__file__), "..", "src"),
@@ -43,27 +53,42 @@ def serve_proc(tmp_path):
         [
             sys.executable, "-m", "repro", "serve",
             "--port", "0",
-            "--data-dir", str(tmp_path / "service"),
+            "--data-dir", str(data_dir),
+            *args,
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
         env=env,
     )
+    line = proc.stdout.readline()
+    if not line.startswith("serving on "):
+        proc.kill()
+        proc.wait(timeout=15)
+        pytest.fail(f"serve did not bind: {line!r} / {proc.stderr.read()!r}")
+    return proc, line.split()[-1]
+
+
+def _stop(proc):
+    """Interrupt a serve process; kill it if it does not exit."""
+    if proc.poll() is not None:
+        return
+    proc.send_signal(signal.SIGINT)
     try:
-        line = proc.stdout.readline()
-        assert line.startswith("serving on "), (
-            f"serve did not bind: {line!r} / {proc.stderr.read()!r}"
-        )
-        url = line.split()[-1]
+        proc.wait(timeout=15)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait(timeout=15)
+
+
+@pytest.fixture()
+def serve_proc(tmp_path):
+    """A real ``repro serve`` subprocess bound to an ephemeral port."""
+    proc, url = _start_serve(tmp_path / "service")
+    try:
         yield proc, url
     finally:
-        proc.send_signal(signal.SIGINT)
-        try:
-            proc.wait(timeout=15)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait(timeout=15)
+        _stop(proc)
 
 
 def test_serve_subprocess_end_to_end(serve_proc, tmp_path):
@@ -150,3 +175,70 @@ def test_serve_rejects_garbage_without_dying(serve_proc):
     # The process survives bad input and keeps serving.
     assert proc.poll() is None
     assert client.health()["status"] == "ok"
+
+
+#: Distinct compile requests of the crash-restart test (one batch).
+CRASH_REQUESTS = [
+    {"model": "ising_chain", "qubits": 3, "time": 0.9, "device": "rydberg-1d"},
+    {"model": "ising_chain", "qubits": 3, "time": 1.1, "device": "rydberg-1d"},
+    {"model": "heisenberg_chain", "qubits": 3, "time": 1.0, "device": "rydberg-1d"},
+    {"model": "ising_chain", "qubits": 4, "time": 1.0, "device": "rydberg-1d"},
+]
+
+
+def _cold_schedule(request):
+    """The schedule a fresh in-process compiler emits, JSON round-tripped."""
+    target = build_model(request["model"], request["qubits"])
+    aais = aais_for_device(request["device"], request["qubits"])
+    result = QTurboCompiler(aais).compile(target, request["time"])
+    assert result.success
+    return json.loads(json.dumps(result.schedule.to_dict()))
+
+
+def test_kill_mid_batch_then_restart_answers_every_digest(tmp_path):
+    data_dir = tmp_path / "service"
+    results_dir = data_dir / "results"
+    # The first record to land holds the batch open for a minute.
+    plan = tmp_path / "plan.json"
+    rule = FaultRule(site="service.result", action="delay", delay=60.0)
+    plan.write_text(json.dumps({"rules": [dataclasses.asdict(rule)]}))
+    proc, url = _start_serve(
+        data_dir, "--linger", "0.5",
+        env_extra={"REPRO_FAULT_PLAN": str(plan)},
+    )
+    try:
+        client = ServiceClient(url, timeout=30.0)
+        for request in CRASH_REQUESTS:
+            reply = client.compile(request, wait=False)
+            assert reply["job"]["status"] in ("queued", "running")
+        deadline = time.monotonic() + 30.0
+        while not any(results_dir.rglob("*.json")):
+            assert time.monotonic() < deadline, "no record landed"
+            time.sleep(0.05)
+        assert proc.poll() is None
+    finally:
+        proc.kill()  # SIGKILL: no drain, no cleanup
+        proc.wait(timeout=15)
+    landed = {path.stem for path in results_dir.rglob("*.json")}
+    assert 1 <= len(landed) < len(CRASH_REQUESTS)
+
+    proc, url = _start_serve(data_dir)
+    try:
+        client = ServiceClient(url, timeout=120.0)
+        replies = [client.compile(request) for request in CRASH_REQUESTS]
+    finally:
+        _stop(proc)
+    sources = {}
+    for request, reply in zip(CRASH_REQUESTS, replies):
+        assert reply["job"]["status"] == "done", reply["job"]
+        assert reply["result"]["schedule"] == _cold_schedule(request)
+        sources[reply["job"]["job_id"]] = reply["job"]["source"]
+    assert len(sources) == len(CRASH_REQUESTS)
+    assert {d for d, s in sources.items() if s == "store"} == landed
+
+    files = [path for path in results_dir.rglob("*") if path.is_file()]
+    assert len(files) == len(CRASH_REQUESTS)
+    for path in files:
+        record = json.loads(path.read_text())
+        assert record["digest"] == path.stem
+        assert record["result"]["success"]

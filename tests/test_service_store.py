@@ -2,10 +2,7 @@
 
 Covers the content-addressed :class:`ResultStore` (digest keys as
 integrity checks, atomic writes, GC), the digest-deduplicating
-:class:`JobQueue`, route dispatch error mapping, and the
-``cache-stats`` degraded-family regression: a snapshot family whose
-blobs were GC'd or scribbled must report as ``degraded``, never as a
-usable family.
+:class:`JobQueue`, and route dispatch error mapping.
 """
 
 import json
@@ -13,11 +10,6 @@ import threading
 
 import pytest
 
-from repro.aais import aais_for_device
-from repro.cli import main as cli_main
-from repro.core import QTurboCompiler
-from repro.core.pipeline.snapshot import SnapshotStore
-from repro.models import ising_chain
 from repro.service import Job, JobQueue, ResultStore, job_digest
 from repro.service.routes import ServiceError, dispatch
 
@@ -237,67 +229,3 @@ def test_dispatch_error_mapping():
     with pytest.raises(ServiceError) as exc:
         dispatch(state, "POST", "/v1/compile", {"timeout": -1})
     assert exc.value.status == 400
-
-
-# ----------------------------------------------------------------------
-# Degraded snapshot families (the cache-stats regression)
-# ----------------------------------------------------------------------
-def _commit_family(snapshot_dir):
-    """Compile once with snapshots on; returns the store and family dir."""
-    target = ising_chain(3)
-    aais = aais_for_device("rydberg-1d", 3)
-    compiler = QTurboCompiler(aais, snapshots=snapshot_dir)
-    result = compiler.compile(target, 1.0)
-    assert result.success
-    store = SnapshotStore(snapshot_dir)
-    families = store.families()
-    assert len(families) == 1
-    return store, families[0]
-
-
-def test_disk_stats_reports_gcd_blobs_as_degraded(tmp_path):
-    store, family = _commit_family(tmp_path / "snapshots")
-    assert store.disk_stats()["families"] == 1
-
-    # Simulate a partial GC / crashed eviction: family.json survives
-    # but a unit blob is gone.
-    blob = next(store.family_dir(family).glob("after-*.pkl"))
-    blob.unlink()
-
-    stats = store.disk_stats()
-    assert stats["degraded"] == 1
-    assert stats["families"] == 0  # a degraded family is not usable
-
-
-def test_disk_stats_deep_catches_scribbled_blob(tmp_path):
-    store, family = _commit_family(tmp_path / "snapshots")
-    blob = next(store.family_dir(family).glob("after-*.pkl"))
-    payload = blob.read_bytes()
-    # Same size, different bits: only the deep (digest) scan sees it.
-    blob.write_bytes(b"\x00" * len(payload))
-    assert store.disk_stats()["degraded"] == 0  # shallow scan fooled
-    deep = store.disk_stats(deep=True)
-    assert deep["degraded"] == 1 and deep["families"] == 0
-
-
-def test_gc_evicts_degraded_families(tmp_path):
-    store, family = _commit_family(tmp_path / "snapshots")
-    next(store.family_dir(family).glob("after-*.pkl")).unlink()
-    outcome = store.gc()
-    assert outcome["degraded_removed"] == 1
-    assert store.families() == []
-    assert not store.family_dir(family).exists()
-
-
-def test_cache_stats_cli_reports_degraded(tmp_path, capsys):
-    store, family = _commit_family(tmp_path / "snapshots")
-    blob = next(store.family_dir(family).glob("after-*.pkl"))
-    blob.write_bytes(b"\x00" * blob.stat().st_size)  # same-size scribble
-
-    rc = cli_main(["cache-stats", "--snapshot-dir", str(tmp_path / "snapshots")])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    disk = payload["snapshot_disk"]
-    # The CLI scan is deep: a bit-flipped blob must not count as usable.
-    assert disk["degraded"] == 1
-    assert disk["families"] == 0

@@ -14,11 +14,10 @@ Six passes, all stdlib-only:
    experiments/*, core/pipeline/*) must keep module docstrings and
    docstrings on every public class/function (AST-based, mirrors the
    ruff D gate).
-4. **Pass table** — docs/compilation.md documents the snapshot
-   invalidation contract; every registered compiler pass (``name =``
-   declarations in core/pipeline/passes.py) must appear in its pass
-   table, so a new pass cannot land without documenting what
-   invalidates it.
+4. **Pass table** — docs/compilation.md documents the pass pipeline;
+   every registered compiler pass (``name =`` declarations in
+   core/pipeline/passes.py) must appear in its pass table, so a new
+   pass cannot land without documenting what it reads and writes.
 5. **Robustness contract** — docs/robustness.md must name (in
    backticks) every export of repro/errors.py and every fault site in
    repro/testing/faults.py, so the failure taxonomy and injection
@@ -122,21 +121,21 @@ _PASS_NAME = re.compile(r'^\s*name = "([a-z_]+)"$', re.MULTILINE)
 def check_pass_table(problems: list) -> None:
     """Pass 4: every registered compiler pass is documented.
 
-    docs/compilation.md owns the invalidation contract, so each pass
-    name declared in core/pipeline/passes.py must appear there (in a
-    backticked table cell).
+    docs/compilation.md owns the pass table, so each pass name declared
+    in core/pipeline/passes.py must appear there (in a backticked table
+    cell).
     """
     passes_py = REPO / "src/repro/core/pipeline/passes.py"
     contract = REPO / "docs/compilation.md"
     if not contract.exists():
-        problems.append("docs/compilation.md: missing (invalidation contract)")
+        problems.append("docs/compilation.md: missing (pass table)")
         return
     text = contract.read_text(encoding="utf-8")
     for name in _PASS_NAME.findall(passes_py.read_text(encoding="utf-8")):
         if f"`{name}`" not in text:
             problems.append(
                 f"docs/compilation.md: registered pass {name!r} missing "
-                "from the invalidation table"
+                "from the pass table"
             )
 
 
