@@ -14,8 +14,9 @@ Three measurements, written to ``BENCH_serve.json``:
    the restart-survives-warm story, and the headline ``speedup`` is
    warm requests/sec over cold.
 3. **Dedup under concurrency** — N client threads submitting one
-   identical request against a cold store; the queue's digest dedup
-   must execute it exactly once.
+   identical request against a cold store while its compile is held
+   for a second; the queue's digest dedup must execute it exactly
+   once (its ``seconds`` include the hold).
 
 Every warm schedule is checked bit-identical to its cold counterpart
 before any number is reported — a fast-but-wrong cache would fail the
@@ -39,6 +40,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.batch.compiler import reset_worker_compilers
 from repro.service import ReproService, ServiceClient, ServiceConfig
+from repro.testing import FaultRule, inject_faults
 
 DEFAULT_OUTPUT = "BENCH_serve.json"
 
@@ -102,19 +104,19 @@ def bench_cold_vs_warm(data_dir: pathlib.Path, quick: bool) -> Dict:
         "warm_requests_per_sec": warm["requests_per_sec"],
         "speedup": warm["requests_per_sec"] / cold["requests_per_sec"],
         "bit_identical": True,
-        "cold_queue": {
-            key: cold_stats["queue"][key]
-            for key in ("executed", "batches", "max_batch")
-        },
+        "cold_queue": {"executed": cold_stats["queue"]["executed"]},
         "warm_store_hits": warm_stats["service"]["store_hits"],
     }
 
 
 def bench_dedup(data_dir: pathlib.Path, threads: int = 8) -> Dict:
     request = {"model": "ising_chain", "qubits": 4, "time": 1.0}
+    # Hold the one compile so every thread's request arrives while it
+    # is in flight and attaches to it.
+    hold = FaultRule(site="batch.job", action="delay", delay=1.0)
     with ReproService(
-        ServiceConfig(port=0, data_dir=data_dir, linger=0.05)
-    ) as service:
+        ServiceConfig(port=0, data_dir=data_dir)
+    ) as service, inject_faults(hold):
         client = ServiceClient(service.url)
         replies = []
         lock = threading.Lock()

@@ -34,17 +34,14 @@ from repro.batch.jobs import BatchJob, BatchResult, JobOutcome
 from repro.batch.retry import RetryPolicy, call_with_retry
 from repro.core.compiler import QTurboCompiler
 from repro.errors import classify_failure
-from repro.hamiltonian.time_dependent import PiecewiseHamiltonian
 from repro.testing.faults import fault_point
 
 __all__ = [
     "BatchCompiler",
     "HARD_VERIFY_CAP",
-    "coalesce_jobs",
     "compiler_for",
     "pass_cache_stats",
     "reset_worker_compilers",
-    "structure_digest",
     "verify_fidelity",
 ]
 
@@ -106,69 +103,6 @@ def compiler_for(job: BatchJob) -> QTurboCompiler:
         while len(_WORKER_COMPILERS) > _WORKER_COMPILER_CAP:
             _WORKER_COMPILERS.popitem(last=False)
     return compiler
-
-
-def structure_digest(target: PiecewiseHamiltonian) -> str:
-    """Digest of the per-segment nonzero Pauli-term sets of ``target``.
-
-    Identity terms and coefficients are excluded: two targets share a
-    structure digest iff they have the same number of segments and
-    drive the same terms segment by segment.  A coefficient that
-    becomes exactly zero changes the structure, because
-    :class:`~repro.hamiltonian.expression.Hamiltonian` drops vanishing
-    terms at construction.
-
-    Parameters
-    ----------
-    target:
-        The piecewise-constant target being compiled.
-
-    Returns
-    -------
-    str
-        A 32-character hex digest.
-    """
-    parts = []
-    for segment in target.segments:
-        hashes = sorted(
-            term.stable_hash()
-            for term in segment.hamiltonian.terms
-            if not term.is_identity
-        )
-        parts.append(",".join(hashes))
-    return hashlib.blake2b(
-        "|".join(parts).encode("utf-8"), digest_size=16
-    ).hexdigest()
-
-
-def coalesce_jobs(jobs: Sequence[BatchJob]) -> List[BatchJob]:
-    """Reorder jobs so structurally similar compiles run back to back.
-
-    Jobs are grouped by ``(AAIS content, compiler options, target
-    structure digest)`` — the same key that decides whether two compiles
-    share a worker compiler and a linear-system cache entry.  Groups
-    keep first-submission order and jobs keep their order within a
-    group, so the reordering is deterministic.  Running a group
-    contiguously means the first member builds the linear system and
-    every follower reuses it, instead of interleaving structures and
-    churning the LRUs.  This is the request-coalescing hook the ``repro
-    serve`` job queue applies to each drained batch; results still come
-    back in submission order (see :meth:`BatchCompiler.compile_many`).
-    """
-    return [jobs[index] for index in _coalesced_order(jobs)]
-
-
-def _coalesced_order(jobs: Sequence[BatchJob]) -> List[int]:
-    """The submission indices of ``jobs`` in coalesced dispatch order."""
-    groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
-    for index, job in enumerate(jobs):
-        key = (
-            _aais_digest(job.aais),
-            job.compiler_options,
-            structure_digest(job.target),
-        )
-        groups.setdefault(key, []).append(index)
-    return [index for group in groups.values() for index in group]
 
 
 def pass_cache_stats() -> dict:
@@ -403,31 +337,16 @@ class BatchCompiler:
         self.retry = retry
 
     # ------------------------------------------------------------------
-    def compile_many(
-        self, jobs: Sequence[BatchJob], coalesce: bool = False
-    ) -> BatchResult:
-        """Execute every job; outcomes come back in submission order.
-
-        With ``coalesce=True`` the jobs are dispatched in
-        :func:`coalesce_jobs` order (structurally similar compiles run
-        adjacently, maximizing cache reuse) — outcomes are
-        still returned in original submission order.
-        """
-        indexed = list(enumerate(jobs))
-        if coalesce:
-            indexed = [
-                (index, jobs[index]) for index in _coalesced_order(jobs)
-            ]
+    def compile_many(self, jobs: Sequence[BatchJob]) -> BatchResult:
+        """Execute every job; outcomes come back in submission order."""
         payloads = [
             (index, job, self.verify, self.verify_max_qubits, self.retry)
-            for index, job in indexed
+            for index, job in enumerate(jobs)
         ]
         tick = time.perf_counter()
         outcomes: List[JobOutcome] = self.executor.run(
             _execute_payload, payloads, failure_result=_failure_outcome
         )
-        if coalesce:
-            outcomes = sorted(outcomes, key=lambda o: o.index)
         total = time.perf_counter() - tick
         retried = [o for o in outcomes if o.attempts > 1]
         fault = {

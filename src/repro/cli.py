@@ -38,7 +38,8 @@ Commands
     Start the long-running compile/simulate/run HTTP service
     (:mod:`repro.service`) over a persistent shared store — warm
     requests are served from the content-addressed result store and
-    cold ones coalesce into batched compiles (see ``docs/service.md``).
+    cold ones run one at a time in arrival order (see
+    ``docs/service.md``).
 ``submit``
     Submit one workload (or an experiment spec) to a running ``repro
     serve`` instance and print the result.
@@ -284,25 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=".repro-service",
         metavar="DIR",
         help="persistent service state: results/, runs/",
-    )
-    serve_cmd.add_argument(
-        "--executor",
-        choices=EXECUTOR_NAMES,
-        default="serial",
-        help="batch executor for coalesced compiles",
-    )
-    serve_cmd.add_argument(
-        "--workers", type=int, default=None, help="executor worker count"
-    )
-    serve_cmd.add_argument(
-        "--linger",
-        type=float,
-        default=0.02,
-        metavar="SECONDS",
-        help="how long the queue waits for more jobs before batching",
-    )
-    serve_cmd.add_argument(
-        "--batch-max", type=int, default=64, help="max jobs per batch"
     )
     serve_cmd.add_argument(
         "--max-results", type=int, default=None,
@@ -759,10 +741,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             data_dir=args.data_dir,
-            executor=args.executor,
-            workers=args.workers,
-            linger=args.linger,
-            batch_max=args.batch_max,
             max_results=args.max_results,
             max_result_bytes=args.max_result_bytes,
         )

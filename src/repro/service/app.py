@@ -10,10 +10,11 @@ dependencies) in front of a :class:`ServiceState`:
   first — a warm store serves the request without touching the queue,
   across restarts and across tenants;
 * misses flow through the :class:`~repro.service.queue.JobQueue`,
-  whose worker drains concurrent arrivals into one coalesced
-  :meth:`~repro.batch.BatchCompiler.compile_many` batch; jobs on the
-  same device share one memoized worker compiler, so repeat structures
-  reuse its in-memory linear-system cache and partition memo.
+  whose worker runs them one at a time in arrival order; compile jobs
+  go through :meth:`~repro.batch.BatchCompiler.compile_many`, and jobs
+  on the same device share one memoized worker compiler, so repeat
+  structures reuse its in-memory linear-system cache and partition
+  memo.
 
 The HTTP surface is defined in :mod:`repro.service.routes`; the
 wire-level client in :mod:`repro.service.client`; the store layout and
@@ -28,7 +29,7 @@ import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from repro import __version__
 from repro.batch.compiler import BatchCompiler
@@ -57,26 +58,17 @@ class ServiceConfig:
         Root of the persistent state: ``results/`` (content-addressed
         job records) and ``runs/`` (experiment-run artifact
         directories).
-    executor / workers:
-        Batch executor the queue worker compiles through.
-    linger / batch_max:
-        Queue coalescing window (see
-        :class:`~repro.service.queue.JobQueue`).
     wait_timeout:
         Default seconds a synchronous (``wait=true``) request blocks
         before returning 202 with the job descriptor instead.
     max_results / max_result_bytes:
-        Result-store GC caps, enforced after every batch (None
-        disables a cap).
+        Result-store GC caps, enforced after every job (None disables
+        a cap).
     """
 
     host: str = "127.0.0.1"
     port: int = 8765
     data_dir: Union[str, Path] = ".repro-service"
-    executor: str = "serial"
-    workers: Optional[int] = None
-    linger: float = 0.02
-    batch_max: int = 64
     wait_timeout: float = 300.0
     max_results: Optional[int] = None
     max_result_bytes: Optional[int] = None
@@ -116,14 +108,8 @@ class ServiceState:
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.results = ResultStore(self.data_dir / "results")
         self.runs_dir = self.data_dir / "runs"
-        self.batch = BatchCompiler(
-            executor=config.executor, workers=config.workers
-        )
-        self.queue = JobQueue(
-            self._execute_batch,
-            linger=config.linger,
-            batch_max=config.batch_max,
-        )
+        self.batch = BatchCompiler()
+        self.queue = JobQueue(self._execute)
         self.started = time.time()
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {
@@ -166,13 +152,12 @@ class ServiceState:
         if stored is not None:
             self._count("store_hits")
             return Job.completed(kind, digest, request, stored)
-        job = Job(kind, digest, request)
         try:
-            job.prepared = self._prepare(kind, request, digest)
+            prepared = self._prepare(kind, request, digest)
         except ServiceError:
             self._count("bad_requests")
             raise
-        return self.queue.submit(job)
+        return self.queue.submit(Job(kind, digest, request, prepared))
 
     def job_payload(self, digest: str) -> Optional[Dict[str, object]]:
         """Descriptor (+ result when done) for ``GET /v1/jobs/<id>``."""
@@ -283,25 +268,17 @@ class ServiceState:
     # ------------------------------------------------------------------
     # Execution (queue worker thread)
     # ------------------------------------------------------------------
-    def _execute_batch(self, jobs: List[Job]) -> None:
-        """Run one drained batch: compiles together, the rest one by one."""
-        compiles = [job for job in jobs if job.kind == "compile"]
-        if compiles:
-            self._execute_compiles(compiles)
-        for job in jobs:
-            if job.kind == "simulate":
-                self._guarded(job, self._execute_simulate)
-            elif job.kind == "run":
-                self._guarded(job, self._execute_run)
-        self._maybe_gc()
-
-    @staticmethod
-    def _guarded(job: Job, execute) -> None:
-        """Per-job failure boundary for the non-batched kinds."""
+    def _execute(self, job: Job) -> None:
+        """Run one job, then enforce the store caps."""
+        execute = {
+            "compile": self._execute_compile,
+            "simulate": self._execute_simulate,
+            "run": self._execute_run,
+        }[job.kind]
         try:
-            execute(job)
-        except Exception as error:
-            job.fail(f"{type(error).__name__}: {error}")
+            execute(job)  # an escaping error fails the job in the queue
+        finally:
+            self._maybe_gc()
 
     def _finish(self, job: Job, result: Dict[str, object]) -> None:
         """Persist one finished job's record and wake its waiters."""
@@ -313,16 +290,13 @@ class ServiceState:
         self.results.store(job.digest, record)
         job.finish(self.results.load(job.digest) or {**record, "digest": job.digest})
 
-    def _execute_compiles(self, jobs: List[Job]) -> None:
-        """One coalesced batch compile of the drained compile jobs."""
-        batch = self.batch.compile_many(
-            [job.prepared for job in jobs], coalesce=True
-        )
-        for job, outcome in zip(jobs, batch.outcomes):
-            if outcome.ok:
-                self._finish(job, _compile_payload(outcome.result))
-            else:
-                job.fail(f"{outcome.error_type}: {outcome.error}")
+    def _execute_compile(self, job: Job) -> None:
+        """Compile one job with the batch engine's retry and failure capture."""
+        outcome = self.batch.compile_many([job.prepared]).outcomes[0]
+        if outcome.ok:
+            self._finish(job, _compile_payload(outcome.result))
+        else:
+            job.fail(f"{outcome.error_type}: {outcome.error}")
 
     def _execute_simulate(self, job: Job) -> None:
         """Compile (through the shared worker compiler) then simulate."""
@@ -367,7 +341,7 @@ class ServiceState:
         )
 
     def _maybe_gc(self) -> None:
-        """Enforce the configured store caps after a batch."""
+        """Enforce the configured store caps after a job."""
         config = self.config
         if config.max_results is not None or config.max_result_bytes is not None:
             self.results.gc(

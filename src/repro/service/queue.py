@@ -1,4 +1,4 @@
-"""The service's in-process job queue: dedup, batching, lifecycle.
+"""The service's in-process job queue: dedup, FIFO execution, lifecycle.
 
 Every request the service accepts becomes a :class:`Job` keyed by its
 content digest.  The queue guarantees two properties the stress suite
@@ -10,16 +10,13 @@ pins down:
   result object.  Combined with the persistent result store (checked
   before the queue), identical requests are compiled at most once per
   store lifetime.
-* **Batch coalescing** — the worker drains every job that is pending
-  when it wakes (plus a short linger window) into one batch, so
-  concurrent compile requests run through
-  :meth:`repro.batch.BatchCompiler.compile_many` with
-  ``coalesce=True`` — structurally similar compiles execute adjacently
-  and share linear systems and worker compilers.
+* **FIFO, one job at a time** — the worker takes the oldest pending
+  job, runs it to completion, records it, and takes the next; a job
+  never waits for others to arrive.
 
 The queue is executor-agnostic: it owns threading and bookkeeping, and
-delegates actual work to the ``execute_batch`` callable the service
-installs (see :class:`repro.service.app.ServiceState`).
+delegates actual work to the ``execute`` callable the service installs
+(see :class:`repro.service.app.ServiceState`).
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import queue as _queue
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 __all__ = ["Job", "JobQueue"]
 
@@ -54,12 +51,18 @@ class Job:
         How the result was produced: ``executed`` (ran here),
         ``store`` (served from the persistent result store), or
         ``attached`` (deduped onto an in-flight twin).
+    prepared:
+        The executable workload built from ``request``; the queue drops
+        it once the job has run, so finished jobs kept for lookup do
+        not pin their instruction set and target.
     """
 
-    def __init__(self, kind: str, digest: str, request: Dict):
+    def __init__(self, kind: str, digest: str, request: Dict,
+                 prepared: Any = None):
         self.kind = kind
         self.digest = digest
         self.request = request
+        self.prepared = prepared
         self.status = "queued"
         self.source = "executed"
         self.result: Optional[Dict] = None
@@ -121,30 +124,18 @@ class Job:
 
 
 class JobQueue:
-    """Digest-deduplicating batch queue with one worker thread.
+    """Digest-deduplicating FIFO queue with one worker thread.
 
     Parameters
     ----------
-    execute_batch:
-        Callable receiving the drained list of jobs; it must call
-        :meth:`Job.finish` or :meth:`Job.fail` on each (any it misses
-        are failed by the queue afterwards — a job can never hang).
-    linger:
-        Seconds the worker waits after the first job of a batch for
-        more to arrive, trading a little latency for coalescing.
-    batch_max:
-        Upper bound on jobs drained into one batch.
+    execute:
+        Callable receiving one job; it must call :meth:`Job.finish` or
+        :meth:`Job.fail` on it (a job it misses is failed by the queue
+        afterwards — a job can never hang).
     """
 
-    def __init__(
-        self,
-        execute_batch: Callable[[List[Job]], None],
-        linger: float = 0.02,
-        batch_max: int = 64,
-    ):
-        self._execute_batch = execute_batch
-        self.linger = float(linger)
-        self.batch_max = int(batch_max)
+    def __init__(self, execute: Callable[[Job], None]):
+        self._execute = execute
         self._pending: "_queue.Queue[Optional[Job]]" = _queue.Queue()
         self._inflight: Dict[str, Job] = {}
         self._recent: "OrderedDict[str, Job]" = OrderedDict()
@@ -154,8 +145,6 @@ class JobQueue:
             "attached": 0,
             "executed": 0,
             "failed": 0,
-            "batches": 0,
-            "max_batch": 0,
         }
         self._running = True
         self._worker = threading.Thread(
@@ -189,63 +178,45 @@ class JobQueue:
             return self._inflight.get(digest) or self._recent.get(digest)
 
     # ------------------------------------------------------------------
-    def _drain(self, first: Job) -> List[Job]:
-        """One batch: ``first`` plus whatever arrives within the linger."""
-        batch = [first]
-        deadline = time.monotonic() + self.linger
-        while len(batch) < self.batch_max:
-            remaining = deadline - time.monotonic()
-            try:
-                if remaining > 0:
-                    job = self._pending.get(timeout=remaining)
-                else:
-                    job = self._pending.get_nowait()
-            except _queue.Empty:
-                break
-            if job is None:  # shutdown sentinel — put back for the loop
-                self._pending.put(None)
-                break
-            batch.append(job)
-        return batch
-
     def _work(self) -> None:
         while True:
             job = self._pending.get()
             if job is None:
                 return
-            batch = self._drain(job)
-            for member in batch:
-                member.status = "running"
+            job.status = "running"
             try:
-                self._execute_batch(batch)
+                self._execute(job)
             except Exception as error:  # the boundary: no job may hang
-                for member in batch:
-                    if not member.done:
-                        member.fail(f"{type(error).__name__}: {error}")
+                if not job.done:
+                    job.fail(f"{type(error).__name__}: {error}")
             finally:
+                if not job.done:
+                    job.fail("executor returned without a result")
+                job.prepared = None
                 with self._lock:
-                    self._counters["batches"] += 1
-                    self._counters["max_batch"] = max(
-                        self._counters["max_batch"], len(batch)
-                    )
-                    for member in batch:
-                        if not member.done:
-                            member.fail("executor returned without a result")
-                        if member.status == "done":
-                            self._counters["executed"] += 1
-                        else:
-                            self._counters["failed"] += 1
-                        self._inflight.pop(member.digest, None)
-                        self._recent[member.digest] = member
-                        while len(self._recent) > _RECENT_CAP:
-                            self._recent.popitem(last=False)
+                    if job.status == "done":
+                        self._counters["executed"] += 1
+                    else:
+                        self._counters["failed"] += 1
+                    self._inflight.pop(job.digest, None)
+                    self._recent[job.digest] = job
+                    while len(self._recent) > _RECENT_CAP:
+                        self._recent.popitem(last=False)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        """Queue counters plus current depth."""
+        """Queue counters plus current depth.
+
+        ``batches`` and ``max_batch`` remain for readers of the former
+        batching queue: every job runs alone, so they are the number of
+        jobs run and 1 once any has run.
+        """
         with self._lock:
             stats: Dict[str, object] = dict(self._counters)
             stats["inflight"] = len(self._inflight)
+        ran = stats["executed"] + stats["failed"]
+        stats["batches"] = ran
+        stats["max_batch"] = min(ran, 1)
         return stats
 
     def close(self, timeout: float = 5.0) -> None:

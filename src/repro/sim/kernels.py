@@ -190,7 +190,7 @@ def _flip_slices(mask: int, num_qubits: int) -> Tuple[slice, ...]:
     XOR-ing a basis index by ``mask`` reverses exactly the qubit axes
     inside the mask, so the permuted state is a *strided view* — copying
     it beats a fancy-index gather on every mask shape (the view copy
-    coalesces the contiguous trailing axes; a gather resolves 2^N
+    merges the contiguous trailing axes; a gather resolves 2^N
     arbitrary indices).
     """
     return tuple(

@@ -13,12 +13,9 @@ from repro.batch import (
     SerialExecutor,
     resolve_executor,
 )
-from repro.batch.compiler import coalesce_jobs, structure_digest
 from repro.devices import RydbergSpec
 from repro.devices.base import TrapGeometry
 from repro.errors import CompilationError
-from repro.hamiltonian.expression import x, zz
-from repro.hamiltonian.time_dependent import PiecewiseHamiltonian, Segment
 from repro.models import ising_chain, kitaev_chain
 
 
@@ -302,60 +299,6 @@ class TestWorkerCompilerReuse:
         assert len(_WORKER_COMPILERS) > 0
         reset_worker_compilers()
         assert len(_WORKER_COMPILERS) == 0
-
-
-def _ising3(j=0.5, h=0.3, h_last=0.3):
-    """A 3-site Ising chain with independently tunable coefficients."""
-    target = j * zz(0, 1) + j * zz(1, 2) + h * x(0) + h * x(1)
-    return target + h_last * x(2)
-
-
-def _piecewise(time=1.0, **coeffs):
-    return PiecewiseHamiltonian.constant(_ising3(**coeffs), time)
-
-
-class TestStructureDigest:
-    def test_equal_targets_share_all_digests(self):
-        assert structure_digest(_piecewise()) == structure_digest(_piecewise())
-
-    def test_coefficient_change_keeps_structure(self):
-        assert structure_digest(_piecewise()) == structure_digest(
-            _piecewise(j=0.7)
-        )
-
-    def test_duration_change_is_a_coefficient_change(self):
-        assert structure_digest(_piecewise(1.0)) == structure_digest(
-            _piecewise(1.3)
-        )
-
-    def test_term_added_changes_structure(self):
-        wider = PiecewiseHamiltonian.constant(_ising3() + 0.1 * zz(0, 2), 1.0)
-        assert structure_digest(_piecewise()) != structure_digest(wider)
-
-    def test_sign_flip_to_exactly_zero_changes_structure(self):
-        """A coefficient hitting exactly zero drops the term — no
-        coefficient-only disguise is possible for vanishing terms."""
-        assert structure_digest(_piecewise()) != structure_digest(
-            _piecewise(h_last=0.0)
-        )
-
-    def test_segment_count_changes_structure(self):
-        one = PiecewiseHamiltonian([Segment(1.0, _ising3())])
-        two = PiecewiseHamiltonian(
-            [Segment(0.5, _ising3()), Segment(0.5, _ising3())]
-        )
-        assert structure_digest(one) != structure_digest(two)
-
-    def test_coalesce_groups_equal_structures_in_first_seen_order(self):
-        aais = chain_aais(3)
-        jobs = [
-            BatchJob.constant("a0", _ising3(), 1.0, aais),
-            BatchJob.constant("b0", _ising3(h_last=0.0), 1.0, aais),
-            BatchJob.constant("a1", _ising3(j=0.7), 1.2, aais),
-            BatchJob.constant("b1", _ising3(j=0.2, h_last=0.0), 1.0, aais),
-        ]
-        order = [job.name for job in coalesce_jobs(jobs)]
-        assert order == ["a0", "a1", "b0", "b1"]
 
 
 class TestJobConstruction:

@@ -31,7 +31,7 @@ from repro.testing import FaultRule, inject_faults
 @pytest.fixture()
 def service(tmp_path):
     with ReproService(
-        ServiceConfig(port=0, data_dir=tmp_path / "svc", linger=0.05)
+        ServiceConfig(port=0, data_dir=tmp_path / "svc")
     ) as instance:
         yield instance
 
@@ -50,23 +50,24 @@ def test_hammering_identical_requests_compiles_once(service):
         except Exception as error:  # collected, not swallowed
             errors.append(error)
 
-    pool = [threading.Thread(target=worker) for _ in range(threads)]
-    for thread in pool:
-        thread.start()
-    for thread in pool:
-        thread.join(120.0)
+    # Hold the one compile long enough for every twin to attach to it.
+    hold = FaultRule(site="batch.job", action="delay", delay=2.0)
+    with inject_faults(hold):
+        pool = [threading.Thread(target=worker) for _ in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(120.0)
 
     assert not errors
     assert len(replies) == threads
     schedules = [reply["result"]["schedule"] for reply in replies]
     assert all(s == schedules[0] for s in schedules)  # bit-identical
     stats = client.stats()
-    # Exactly one execution; everyone else attached or hit the store.
+    # Exactly one execution; every other caller attached to it.
     assert stats["queue"]["executed"] == 1
-    assert (
-        stats["queue"]["attached"] + stats["service"]["store_hits"]
-        == threads - 1
-    )
+    assert stats["queue"]["attached"] == threads - 1
+    assert stats["service"]["store_hits"] == 0
 
 
 def test_mixed_digests_each_execute_once(service):

@@ -177,7 +177,7 @@ def test_serve_rejects_garbage_without_dying(serve_proc):
     assert client.health()["status"] == "ok"
 
 
-#: Distinct compile requests of the crash-restart test (one batch).
+#: Distinct compile requests of the crash-restart test.
 CRASH_REQUESTS = [
     {"model": "ising_chain", "qubits": 3, "time": 0.9, "device": "rydberg-1d"},
     {"model": "ising_chain", "qubits": 3, "time": 1.1, "device": "rydberg-1d"},
@@ -198,13 +198,13 @@ def _cold_schedule(request):
 def test_kill_mid_batch_then_restart_answers_every_digest(tmp_path):
     data_dir = tmp_path / "service"
     results_dir = data_dir / "results"
-    # The first record to land holds the batch open for a minute.
+    # The first record to land holds the worker for a minute, with the
+    # other three requests still queued behind it.
     plan = tmp_path / "plan.json"
     rule = FaultRule(site="service.result", action="delay", delay=60.0)
     plan.write_text(json.dumps({"rules": [dataclasses.asdict(rule)]}))
     proc, url = _start_serve(
-        data_dir, "--linger", "0.5",
-        env_extra={"REPRO_FAULT_PLAN": str(plan)},
+        data_dir, env_extra={"REPRO_FAULT_PLAN": str(plan)}
     )
     try:
         client = ServiceClient(url, timeout=30.0)

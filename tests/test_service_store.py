@@ -85,17 +85,11 @@ def test_result_store_gc_oldest_first(tmp_path):
 # ----------------------------------------------------------------------
 # JobQueue
 # ----------------------------------------------------------------------
-def _make_queue(execute, **kwargs):
-    queue = JobQueue(execute, **kwargs)
-    return queue
-
-
 def test_queue_executes_and_finishes():
-    def execute(jobs):
-        for job in jobs:
-            job.finish({"result": {"echo": job.request}})
+    def execute(job):
+        job.finish({"result": {"echo": job.request}})
 
-    queue = _make_queue(execute)
+    queue = JobQueue(execute)
     try:
         job = queue.submit(Job("compile", "d1", {"x": 1}))
         assert job.wait(5.0)
@@ -109,12 +103,11 @@ def test_queue_executes_and_finishes():
 def test_queue_dedups_by_digest():
     release = threading.Event()
 
-    def execute(jobs):
+    def execute(job):
         release.wait(5.0)
-        for job in jobs:
-            job.finish({"result": {}})
+        job.finish({"result": {}})
 
-    queue = _make_queue(execute)
+    queue = JobQueue(execute)
     try:
         first = queue.submit(Job("compile", "dup", {"x": 1}))
         second = queue.submit(Job("compile", "dup", {"x": 1}))
@@ -128,33 +121,47 @@ def test_queue_dedups_by_digest():
         queue.close()
 
 
-def test_queue_batches_within_linger():
-    batches = []
+def test_queue_runs_one_job_at_a_time_in_submission_order():
+    ran = []
     gate = threading.Event()
 
-    def execute(jobs):
-        gate.wait(5.0)  # hold the first drain until all are queued
-        batches.append(len(jobs))
-        for job in jobs:
-            job.finish({"result": {}})
+    def execute(job):
+        gate.wait(5.0)  # hold the first job until all are queued
+        ran.append(job.digest)
+        job.finish({"result": {}})
 
-    queue = _make_queue(execute, linger=0.2)
+    queue = JobQueue(execute)
     try:
         jobs = [queue.submit(Job("compile", f"d{i}", {"i": i})) for i in range(5)]
         gate.set()
         for job in jobs:
             assert job.wait(5.0)
-        assert sum(batches) == 5
-        assert queue.stats()["max_batch"] >= 2  # coalescing happened
+        assert ran == [f"d{i}" for i in range(5)]  # each alone, FIFO
+    finally:
+        queue.close()
+
+
+def test_finished_job_drops_its_workload_but_stays_addressable():
+    def execute(job):
+        job.finish({"result": {"built": job.prepared}})
+
+    queue = JobQueue(execute)
+    try:
+        first = queue.submit(Job("compile", "held", {}, prepared="workload"))
+        # FIFO: the first job's bookkeeping is done before the next runs.
+        assert queue.submit(Job("compile", "next", {})).wait(5.0)
+        assert first.result["result"]["built"] == "workload"
+        assert first.prepared is None
+        assert queue.get("held") is first
     finally:
         queue.close()
 
 
 def test_queue_failure_boundary():
-    def execute(jobs):
+    def execute(job):
         raise RuntimeError("executor exploded")
 
-    queue = _make_queue(execute)
+    queue = JobQueue(execute)
     try:
         job = queue.submit(Job("compile", "boom", {}))
         assert job.wait(5.0)
@@ -165,10 +172,10 @@ def test_queue_failure_boundary():
 
 
 def test_queue_fails_forgotten_jobs():
-    def execute(jobs):
+    def execute(job):
         pass  # never calls finish/fail
 
-    queue = _make_queue(execute)
+    queue = JobQueue(execute)
     try:
         job = queue.submit(Job("compile", "lost", {}))
         assert job.wait(5.0)
@@ -177,8 +184,19 @@ def test_queue_fails_forgotten_jobs():
         queue.close()
 
 
+@pytest.mark.parametrize(
+    "flag", [["--executor", "process"], ["--workers", "2"]]
+)
+def test_retired_serve_flags_are_usage_errors(flag):
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["serve", *flag])
+    assert exc.value.code == 2
+
+
 def test_queue_rejects_after_close():
-    queue = _make_queue(lambda jobs: None)
+    queue = JobQueue(lambda job: None)
     queue.close()
     with pytest.raises(RuntimeError):
         queue.submit(Job("compile", "late", {}))

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Documentation health checks (run by the CI ``docs`` job).
 
-Six passes, all stdlib-only:
+Six passes; the first five are stdlib-only, the sixth imports the
+``repro`` CLI parser from src/:
 
 1. **Links** — every relative markdown link target in README.md and
    docs/*.md must exist on disk.
@@ -24,14 +25,17 @@ Six passes, all stdlib-only:
    surface cannot drift from their documentation.
 6. **Service contract** — docs/service.md must name (in backticks)
    every HTTP route in repro/service/routes.py ROUTE_PATHS plus the
-   ``serve``/``submit`` CLI commands, so the service surface cannot
-   change without its protocol document following.
+   ``serve``/``submit`` CLI commands, every ``--flag`` of ``repro
+   serve``, and no ``--flag`` that neither ``serve`` nor ``submit``
+   accepts, so the service surface cannot change without its protocol
+   document following.
 
 Exit status is the number of problems found.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import re
 import sys
@@ -198,13 +202,30 @@ def check_robustness_doc(problems: list) -> None:
                 )
 
 
+def _cli_flags(command: str) -> set:
+    """The ``--long`` option strings ``repro <command>`` accepts."""
+    sys.path.insert(0, str(REPO / "src"))
+    from repro.cli import build_parser
+
+    subcommands = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = subcommands.choices[command]._option_string_actions
+    return {flag for flag in options if flag.startswith("--")} - {"--help"}
+
+
 def check_service_doc(problems: list) -> None:
-    """Pass 6: the HTTP surface stays documented.
+    """Pass 6: the HTTP and CLI surface stays documented.
 
     docs/service.md owns the service protocol: every route declared in
     repro/service/routes.py ROUTE_PATHS and both service CLI commands
     must appear there inside a backticked span, so an endpoint cannot
-    be added or renamed without the protocol document following.
+    be added or renamed without the protocol document following.  It
+    must also name every ``repro serve`` flag, and every ``--flag`` it
+    names must exist on the ``serve`` or ``submit`` parser, so a
+    removed flag cannot stay in the document.
     """
     doc = REPO / "docs/service.md"
     if not doc.exists():
@@ -226,6 +247,17 @@ def check_service_doc(problems: list) -> None:
                 f"docs/service.md: {name!r} from the service surface is "
                 "not documented"
             )
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    serve = _cli_flags("serve")
+    for flag in sorted(named - serve - _cli_flags("submit")):
+        problems.append(
+            f"docs/service.md: names {flag}, which neither 'repro serve' "
+            "nor 'repro submit' accepts"
+        )
+    for flag in sorted(serve - named):
+        problems.append(
+            f"docs/service.md: 'repro serve {flag}' is not documented"
+        )
 
 
 def main() -> int:
