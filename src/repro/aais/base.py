@@ -13,7 +13,7 @@ from repro.aais.channels import Channel
 from repro.aais.variables import Variable
 from repro.errors import AAISError
 from repro.hamiltonian.expression import Hamiltonian
-from repro.hamiltonian.pauli import PauliString
+from repro.hamiltonian.pauli import PauliString, pauli_order_key
 
 __all__ = ["Instruction", "AAIS"]
 
@@ -136,7 +136,7 @@ class AAIS:
         strings = set()
         for channel in self._channels:
             strings.update(channel.dynamics_terms())
-        return tuple(sorted(strings))
+        return tuple(sorted(strings, key=pauli_order_key))
 
     def hamiltonian(self, values: Mapping[str, float]) -> Hamiltonian:
         """The simulator Hamiltonian at a full variable assignment.

@@ -19,7 +19,7 @@ import math
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 from repro.errors import HamiltonianError
-from repro.hamiltonian.pauli import PauliString
+from repro.hamiltonian.pauli import PauliString, pauli_order_key
 
 __all__ = [
     "Hamiltonian",
@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 _DEFAULT_TOL = 1e-12
+
+
+def _term_order(item: Tuple[PauliString, float]):
+    """Sort key of a ``(string, coefficient)`` term: the string's order."""
+    return pauli_order_key(item[0])
 
 
 class Hamiltonian:
@@ -105,7 +110,7 @@ class Hamiltonian:
 
     def pauli_strings(self) -> Tuple[PauliString, ...]:
         """The Pauli strings present, in deterministic sorted order."""
-        return tuple(sorted(self._terms))
+        return tuple(sorted(self._terms, key=pauli_order_key))
 
     def num_qubits(self) -> int:
         """Smallest qubit count containing the support (max index + 1)."""
@@ -146,7 +151,8 @@ class Hamiltonian:
         which makes it suitable for keying the operator matrix cache.
         """
         return tuple(
-            (s.canonical_key, c) for s, c in sorted(self._terms.items())
+            (s.canonical_key, c)
+            for s, c in sorted(self._terms.items(), key=_term_order)
         )
 
     def stable_hash(self) -> str:
@@ -157,7 +163,7 @@ class Hamiltonian:
         """
         parts = [
             f"{s.stable_hash()}={coeff!r}"
-            for s, coeff in sorted(self._terms.items())
+            for s, coeff in sorted(self._terms.items(), key=_term_order)
         ]
         return hashlib.blake2b(
             "&".join(parts).encode(), digest_size=16
@@ -198,7 +204,7 @@ class Hamiltonian:
         return self * -1.0
 
     def __iter__(self) -> Iterator[Tuple[PauliString, float]]:
-        return iter(sorted(self._terms.items()))
+        return iter(sorted(self._terms.items(), key=_term_order))
 
     def relabeled(self, mapping: Mapping[int, int]) -> "Hamiltonian":
         """Apply a qubit permutation to every term (site mapping)."""
@@ -225,12 +231,15 @@ class Hamiltonian:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
+        return hash(tuple(sorted(self._terms.items(), key=_term_order)))
 
     def __repr__(self) -> str:
         if not self._terms:
             return "Hamiltonian(0)"
-        parts = [f"{c:+g}*{s}" for s, c in sorted(self._terms.items())]
+        parts = [
+            f"{c:+g}*{s}"
+            for s, c in sorted(self._terms.items(), key=_term_order)
+        ]
         return "Hamiltonian(" + " ".join(parts) + ")"
 
 

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.errors import HamiltonianError
 
-__all__ = ["PauliString", "PAULI_LABELS"]
+__all__ = ["PauliString", "PAULI_LABELS", "pauli_order_key"]
 
 PAULI_LABELS = ("X", "Y", "Z")
 
@@ -37,6 +37,18 @@ _PRODUCT: Dict[Tuple[str, str], Tuple[complex, str]] = {
     ("Z", "X"): (1j, "Y"),
     ("X", "Z"): (-1j, "Y"),
 }
+
+
+def pauli_order_key(
+    string: "PauliString",
+) -> Tuple[int, Tuple[Tuple[int, str], ...]]:
+    """Sort key of the total order of :class:`PauliString`.
+
+    ``sorted(strings, key=pauli_order_key)`` gives exactly the order of
+    ``sorted(strings)`` — weight first, then the sorted ops — without a
+    Python-level ``__lt__`` call per comparison.
+    """
+    return (len(string._ops), string._ops)
 
 
 def _restore_pauli(ops) -> "PauliString":
@@ -242,7 +254,7 @@ class PauliString:
         """Deterministic total order: by weight, then lexicographic ops."""
         if not isinstance(other, PauliString):
             return NotImplemented
-        return (self.weight, self._ops) < (other.weight, other._ops)
+        return pauli_order_key(self) < pauli_order_key(other)
 
     def __hash__(self) -> int:
         return self._hash

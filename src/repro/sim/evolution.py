@@ -12,7 +12,7 @@ at once.  Each segment dispatches to one of three **backends**
 
 * ``dense`` — the 2^N×2^N unitary is built (batched across noise
   realizations) and memoized in the propagator cache; small registers.
-* ``matrix_free`` — bit-mask Pauli kernels plus a Hermitian Lanczos
+* ``matrix_free`` — bit-mask Pauli kernels plus a Chebyshev
   propagator (:mod:`repro.sim.kernels`); no operator is ever
   materialized, so it runs at any register size the state fits.
 * ``auto`` — per-segment selection via
@@ -38,7 +38,6 @@ from repro.sim.propagators import (
     cached_propagator,
     diagonal_vector,
     matrix_free_block_columns,
-    matrix_free_krylov_dim,
     propagator_build_max_qubits,
     record_fast_path,
     select_backend,
@@ -137,7 +136,7 @@ def evolve(
         thresholds (above ``propagator_max_qubits`` the unitary is
         built but not cached; the configurable operator cap still
         refuses absurd dense builds); ``"matrix_free"`` forces the
-        Pauli-kernel Lanczos path at any size.
+        Pauli-kernel Chebyshev path at any size.
     """
     state = _check_state(state, num_qubits)
     if state.ndim == 1:
@@ -175,7 +174,7 @@ def evolve_block(
     then dispatches each group to the selected backend: diagonal phase
     multiply, cached propagator, batched dense ``expm`` (all misses of a
     segment are assembled and exponentiated together), or the
-    matrix-free Pauli-kernel Lanczos propagator.  Only the dense path
+    matrix-free Pauli-kernel Chebyshev propagator.  Only the dense path
     *materializes* an operator and is subject to the operator-layer
     size cap; the diagonal and matrix-free paths scale to any register
     the state itself fits.
@@ -295,7 +294,6 @@ def evolve_block(
                 duration,
                 num_qubits,
                 cache=cache,
-                max_krylov=matrix_free_krylov_dim(num_qubits),
             )
 
     if dense_pending:

@@ -16,27 +16,41 @@ over basis indices) acts as::
     (P ψ)[j] = (−i)^{|Y|} · (−1)^{parity(j & (m_z | m_y))} · ψ[j ^ (m_x | m_y)]
 
 A Hamiltonian kernel groups its all-Z terms into one precomputed real
-diagonal and keeps one ``(flip mask, phase, sign vector)`` triple per
-off-diagonal term.  Per-mask sign vectors and per-term-structure layouts
-are memoized in process-wide LRUs (:func:`kernel_cache_stats`), so noise
-realizations that share a Pauli support but differ in coefficients reuse
-every index-arithmetic artifact.
+diagonal and splits its off-diagonal terms by support.  With
+``m = min(TAIL_QUBITS, N)``:
+
+* *tail* terms act only on the last ``m`` qubits (the least significant
+  index bits).  Their weighted sum is one dense ``2^m × 2^m`` matrix,
+  applied to a ``(rows, 2^N)`` block as a single GEMM on its
+  ``(rows·2^{N−m}, 2^m)`` reshape;
+* *lead* terms touch an earlier qubit.  XOR by a flip mask reverses the
+  qubit axes inside the mask, so each lead term is a strided view-copy
+  of the ``(rows, 2, …, 2)`` tensor, an optional sign multiply and one
+  axpy.  Tail flips alone would make those copies move contiguous
+  runs of 1–16 elements; the GEMM replaces exactly them.
+
+When every off-diagonal term has an even number of Y factors, ``H`` is
+a real symmetric matrix and the kernel runs in float64: a complex state
+column becomes two real rows (Re and Im) and a real one stays one row.
+Per-mask sign vectors and per-term-structure layouts (tail bases
+included) are memoized in process-wide LRUs
+(:func:`kernel_cache_stats`), so noise realizations that share a Pauli
+support but differ in coefficients reuse every index-arithmetic
+artifact.
 
 On top of the kernels, two Hermitian propagators replace
 ``scipy.sparse.linalg.expm_multiply``:
 
-* :func:`lanczos_expm_multiply` — Krylov projection with adaptive
-  sub-stepping and a residual-based error estimate; spectrally
-  adaptive, best for short segments, works through any Hermitian
-  :class:`scipy.sparse.linalg.LinearOperator`.
 * :func:`chebyshev_expm_multiply` — a Chebyshev polynomial expansion of
   ``exp(−i H t)`` inside the kernel's rigorous spectral bounds (exact
   diagonal range ± the off-diagonal ℓ1 norm).  Deterministic
-  ``≈ ρ·t`` matvec count, O(1) auxiliary vectors, and it propagates a
-  whole ``(2^N, k)`` block per recurrence step — the workhorse for
-  long segments and wide blocks.
-
-:func:`expm_multiply_matrix_free` picks between them per segment.
+  ``≈ ρ·t`` matvec count and five row blocks of working memory; it
+  transposes the ``(2^N, k)`` block once on entry and once on exit and
+  pushes every column through each recurrence step.  This is what
+  :func:`expm_multiply_matrix_free` runs.
+* :func:`lanczos_expm_multiply` — Krylov projection with adaptive
+  sub-stepping and a residual-based error estimate; works through any
+  Hermitian :class:`scipy.sparse.linalg.LinearOperator`.
 """
 
 from __future__ import annotations
@@ -80,11 +94,20 @@ DEFAULT_MAX_KRYLOV_DIM = 30
 #: Default relative tolerance of the matrix-free propagators.
 DEFAULT_LANCZOS_TOL = 1e-10
 
-#: Below this phase span (spectral radius × duration) the adaptive
-#: Lanczos propagator typically needs fewer matvecs than the Chebyshev
-#: expansion's fixed ``≈ span + tail`` count; above it (or for blocks,
-#: which Chebyshev pushes through one recurrence) Chebyshev wins.
-CHEBYSHEV_MIN_PHASE_SPAN = 12.0
+#: Off-diagonal terms supported wholly on the last ``m = min(TAIL_QUBITS,
+#: N)`` qubits are summed into one dense ``2^m × 2^m`` matrix and applied
+#: as a single GEMM; their view-copies would move contiguous runs of
+#: only 1–16 elements.  With one BLAS thread, m = 5 ran the Chebyshev
+#: recurrence 0–15% faster than m = 4 at N = 8–18 (m = 3 and 6 were
+#: slower), and ``simulate_mix`` read +4.7% (within its spread).
+TAIL_QUBITS = 5
+
+#: Multiply-adds per tail GEMM call.  OpenBLAS hands larger products to
+#: its worker threads, and for these thin ``(M, 2^m) @ (2^m, 2^m)``
+#: shapes the hand-off costs more than the product: unpinned on a 2-core
+#: VM such a call took 4–8 ms against 30–140 µs on one thread.  The tail
+#: is therefore applied in row chunks of at most this many.
+_GEMM_MULTIPLY_ADDS = 1 << 19
 
 #: Bit-mask index arithmetic uses uint32 basis indices.
 _MAX_KERNEL_QUBITS = 31
@@ -188,10 +211,10 @@ def _flip_slices(mask: int, num_qubits: int) -> Tuple[slice, ...]:
     """Per-axis slices realizing ``j → j ^ mask`` on a ``(2,)*N`` view.
 
     XOR-ing a basis index by ``mask`` reverses exactly the qubit axes
-    inside the mask, so the permuted state is a *strided view* — copying
-    it beats a fancy-index gather on every mask shape (the view copy
-    merges the contiguous trailing axes; a gather resolves 2^N
-    arbitrary indices).
+    inside the mask, so the permuted state is a *strided view*.  Copying
+    it merges the contiguous trailing axes, which makes it cheap for the
+    lead terms; flips on the last qubits leave runs of a few elements,
+    which is why those terms go through the tail GEMM instead.
     """
     return tuple(
         _REVERSED if (mask >> (num_qubits - 1 - axis)) & 1 else _FULL
@@ -199,19 +222,52 @@ def _flip_slices(mask: int, num_qubits: int) -> Tuple[slice, ...]:
     )
 
 
+def _string_matrix(
+    ops: Tuple[Tuple[int, str], ...], num_qubits: int
+) -> np.ndarray:
+    """The dense ``2^N × 2^N`` matrix of a Pauli-ops tuple (small N only).
+
+    Row ``j`` holds ``γ0·(−1)^{parity(j & zy)}`` in column ``j ^ flip``
+    — the module-docstring formula read as a matrix.
+    """
+    flip, zy, n_y = _string_masks(ops, num_qubits)
+    index = _index(num_qubits)
+    matrix = np.zeros((index.size, index.size), dtype=complex)
+    signs = 1 - 2 * _parity(index & np.uint32(zy)).astype(float)
+    matrix[index, index ^ np.uint32(flip)] = _GAMMA[n_y % 4] * signs
+    return matrix
+
+
 class _KernelStructure:
     """Coefficient-independent layout of one Pauli-term set.
 
     ``diagonal`` holds ``(slot, sign_vector)`` pairs for all-Z terms
-    (``sign_vector`` is None for the identity string); ``offdiag`` holds
-    ``(slot, flip_slices, gamma0, sign_vector)`` for everything else,
-    where ``flip_slices`` realizes the term's XOR permutation as a
-    strided view on the ``(2,)*N`` tensor form of the state.  ``slot``
-    indexes the coefficient vector aligned with the sorted string order
-    of :meth:`Hamiltonian.pauli_strings`.
+    (``sign_vector`` is None for the identity string).  Off-diagonal
+    terms split by support:
+
+    * ``lead`` holds ``(slot, flip_slices, gamma0, sign_vector)`` for
+      terms touching any qubit below ``N − m``; ``flip_slices`` realizes
+      the term's XOR permutation as a strided view on the
+      ``(rows, 2, …, 2)`` tensor form of a row block;
+    * ``tail_basis`` stacks the transposed ``2^m × 2^m`` matrices of
+      the terms supported wholly on the last ``m`` qubits, at
+      coefficient slots ``tail_slots``.
+
+    ``real`` is True when every off-diagonal term has an even number of
+    Y factors, i.e. ``H`` is a real symmetric matrix; the tail basis is
+    then stored as float64.  ``slot`` indexes the coefficient vector
+    aligned with the sorted string order of
+    :meth:`Hamiltonian.pauli_strings`.
     """
 
-    __slots__ = ("num_qubits", "diagonal", "offdiag")
+    __slots__ = (
+        "num_qubits",
+        "real",
+        "diagonal",
+        "lead",
+        "tail_slots",
+        "tail_basis",
+    )
 
     def __init__(
         self,
@@ -219,23 +275,39 @@ class _KernelStructure:
         num_qubits: int,
     ):
         self.num_qubits = num_qubits
+        tail_qubits = min(TAIL_QUBITS, num_qubits)
+        first_tail = num_qubits - tail_qubits
+        self.real = True
         self.diagonal: List[Tuple[int, Optional[np.ndarray]]] = []
-        self.offdiag: List[
+        self.lead: List[
             Tuple[int, Tuple[slice, ...], complex, Optional[np.ndarray]]
         ] = []
+        tail_slots: List[int] = []
+        tail_matrices: List[np.ndarray] = []
         for slot, ops in enumerate(strings):
             flip, zy, n_y = _string_masks(ops, num_qubits)
             if flip == 0:
                 self.diagonal.append((slot, _sign_vector(zy, num_qubits)))
-            else:
-                self.offdiag.append(
-                    (
-                        slot,
-                        _flip_slices(flip, num_qubits),
-                        _GAMMA[n_y % 4],
-                        _sign_vector(zy, num_qubits),
-                    )
+                continue
+            self.real = self.real and n_y % 2 == 0
+            if ops[0][0] >= first_tail:
+                local = tuple((q - first_tail, label) for q, label in ops)
+                tail_slots.append(slot)
+                tail_matrices.append(_string_matrix(local, tail_qubits).T)
+                continue
+            self.lead.append(
+                (
+                    slot,
+                    (_FULL,) + _flip_slices(flip, num_qubits),
+                    _GAMMA[n_y % 4],
+                    _sign_vector(zy, num_qubits),
                 )
+            )
+        self.tail_slots = np.array(tail_slots, dtype=np.intp)
+        self.tail_basis: Optional[np.ndarray] = None
+        if tail_matrices:
+            basis = np.array(tail_matrices)
+            self.tail_basis = basis.real.copy() if self.real else basis
 
 
 def _structure_for(
@@ -245,7 +317,7 @@ def _structure_for(
 
     Always memoized (like the per-string basis caches of the sparse
     layer): noise realizations share one support and must not rebuild
-    sign vectors per realization.
+    sign vectors or tail bases per realization.
     """
     key = (strings, num_qubits)
     cached = _structure_cache.get(key)
@@ -269,17 +341,27 @@ class HamiltonianKernel:
     Notes
     -----
     Construction touches only ``O(terms · 2^N)`` memory: one real
-    diagonal vector for the all-Z part and one int8 sign vector per
-    off-diagonal term (shared through the process-wide sign cache).  The
-    ``4^N`` matrix is never formed.
+    diagonal vector for the all-Z part, one int8 sign vector per lead
+    off-diagonal term (shared through the process-wide sign cache) and
+    one ``2^m × 2^m`` tail matrix (``tensordot`` of the tail
+    coefficients with the cached basis).  The ``4^N`` matrix is never
+    formed.
+
+    Internally every operation works on a row-major ``(rows, 2^N)``
+    block: float64 when ``H`` is :attr:`real`, where a complex column
+    becomes two rows (Re and Im) and a real one stays one row; complex128
+    otherwise.
     """
 
     __slots__ = (
         "num_qubits",
         "dim",
         "num_terms",
+        "real",
+        "_axpy",
         "_diagonal",
-        "_offdiag",
+        "_lead",
+        "_tail",
         "_offdiag_l1",
     )
 
@@ -292,7 +374,11 @@ class HamiltonianKernel:
         structure = _structure_for(
             tuple(s.canonical_key for s in strings), num_qubits
         )
-        coefficients = [hamiltonian.coefficient(s) for s in strings]
+        coefficients = np.array(
+            [hamiltonian.coefficient(s) for s in strings], dtype=float
+        )
+        self.real = structure.real
+        self._axpy = blas.daxpy if self.real else blas.zaxpy
 
         self._diagonal: Optional[np.ndarray] = None
         if structure.diagonal:
@@ -304,21 +390,29 @@ class HamiltonianKernel:
                     diagonal += coefficients[slot] * sign
             self._diagonal = diagonal
 
-        self._offdiag: List[
+        # A real kernel has only even Y counts, so every ``gamma0`` is ±1.
+        self._lead: List[
             Tuple[Tuple[slice, ...], complex, Optional[np.ndarray]]
         ] = [
             (slices, gamma0 * coefficients[slot], sign)
-            for slot, slices, gamma0, sign in structure.offdiag
+            for slot, slices, gamma0, sign in structure.lead
         ]
-        self._offdiag_l1 = float(
-            sum(abs(coefficients[slot]) for slot, _, _, _ in structure.offdiag)
-        )
+        self._tail: Optional[np.ndarray] = None
+        if structure.tail_basis is not None:
+            self._tail = np.tensordot(
+                coefficients[structure.tail_slots],
+                structure.tail_basis,
+                axes=1,
+            )
+        offdiag_slots = [slot for slot, _, _, _ in structure.lead]
+        offdiag_slots.extend(structure.tail_slots.tolist())
+        self._offdiag_l1 = float(np.abs(coefficients[offdiag_slots]).sum())
 
     # ------------------------------------------------------------------
     @property
     def is_diagonal(self) -> bool:
         """True when every term is all-Z (the kernel is a diagonal)."""
-        return not self._offdiag
+        return not self._lead and self._tail is None
 
     def _coerce(self, states: np.ndarray) -> np.ndarray:
         """Validate and return a C-contiguous complex view of ``states``."""
@@ -330,55 +424,105 @@ class HamiltonianKernel:
             )
         return states
 
-    def _tensor_shape(self, states: np.ndarray) -> Tuple[int, ...]:
-        """The ``(2,)*N (+ columns)`` view shape for flip slicing."""
-        shape: Tuple[int, ...] = (2,) * self.num_qubits
-        if states.ndim == 2:
-            shape += (states.shape[1],)
-        return shape
+    def _to_rows(self, states: np.ndarray) -> Tuple[np.ndarray, bool]:
+        """A fresh ``(rows, 2^N)`` row block of ``states``.
 
-    def _apply_offdiag(
-        self,
-        states: np.ndarray,
-        out: np.ndarray,
-        buf: np.ndarray,
-        scale: complex = 1.0,
-    ) -> None:
-        """``out += scale · H_offdiag @ states`` with a reused scratch.
-
-        Each term is one strided view-copy (the XOR permutation), an
-        optional in-place sign multiply, and a BLAS ``zaxpy`` — no
-        temporaries, no fancy-index gathers.
+        Returns ``(rows, split)``.  For a real kernel a block with any
+        imaginary part is split into its real rows followed by its
+        imaginary rows (``split`` True); a real block stays one row per
+        column.  Complex kernels keep one complex row per column.
         """
-        shape = self._tensor_shape(states)
-        source = states.reshape(shape)
-        target = buf.reshape(shape)
-        column = states.ndim == 1
-        flat_buf = buf.reshape(-1)
+        block = states.reshape(self.dim, -1).T
+        if not self.real:
+            return np.array(block, order="C"), False
+        if np.any(block.imag):
+            columns = block.shape[0]
+            rows = np.empty((2 * columns, self.dim))
+            rows[:columns] = block.real
+            rows[columns:] = block.imag
+            return rows, True
+        return np.array(block.real, order="C"), False
+
+    def _from_rows(
+        self,
+        shape: Tuple[int, ...],
+        split: bool,
+        rows: np.ndarray,
+        times_i: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """The complex ``shape`` block of ``rows + i·times_i``.
+
+        Both are results of real-linear maps applied to the rows of
+        :meth:`_to_rows`; with ``split`` they are lifted back to complex
+        columns (``A(a + ib) = Aa + i·Ab``).
+        """
+        columns = rows.shape[0] // 2 if split else rows.shape[0]
+        out = np.empty((columns, self.dim), dtype=complex)
+        if not self.real:
+            out[...] = rows
+            if times_i is not None:
+                out += 1j * times_i
+        elif split:
+            if times_i is None:
+                out.real = rows[:columns]
+                out.imag = rows[columns:]
+            else:
+                np.subtract(rows[:columns], times_i[columns:], out=out.real)
+                np.add(rows[columns:], times_i[:columns], out=out.imag)
+        else:
+            out.real = rows
+            out.imag = 0.0 if times_i is None else times_i
+        return np.ascontiguousarray(out.T).reshape(shape)
+
+    def _offdiag_into(
+        self,
+        rows: np.ndarray,
+        out: np.ndarray,
+        scratch: np.ndarray,
+        scale: float = 1.0,
+    ) -> None:
+        """``out += scale · H_offdiag @ rows`` on ``(r, 2^N)`` row blocks.
+
+        The tail is one GEMM on the ``(r·2^{N−m}, 2^m)`` reshape plus an
+        axpy; each lead term is one strided view-copy, an optional
+        in-place sign multiply and an axpy.  ``scratch`` is overwritten.
+        """
         flat_out = out.reshape(-1)
-        for slices, gamma, sign in self._offdiag:
-            if not column:
-                slices = slices + (_FULL,)
+        flat_scratch = scratch.reshape(-1)
+        if self._tail is not None:
+            width = self._tail.shape[0]
+            source = rows.reshape(-1, width)
+            target = scratch.reshape(-1, width)
+            step = _GEMM_MULTIPLY_ADDS // (width * width)
+            for start in range(0, source.shape[0], step):
+                np.matmul(
+                    source[start : start + step],
+                    self._tail,
+                    out=target[start : start + step],
+                )
+            self._axpy(flat_scratch, flat_out, a=scale)
+        if not self._lead:
+            return
+        shape = (rows.shape[0],) + (2,) * self.num_qubits
+        source = rows.reshape(shape)
+        target = scratch.reshape(shape)
+        for slices, coefficient, sign in self._lead:
             np.copyto(target, source[slices])
             if sign is not None:
-                np.multiply(
-                    buf, sign if column else sign[:, None], out=buf
-                )
-            blas.zaxpy(flat_buf, flat_out, a=scale * gamma)
+                np.multiply(scratch, sign, out=scratch)
+            self._axpy(flat_scratch, flat_out, a=scale * coefficient)
 
     def apply(self, states: np.ndarray) -> np.ndarray:
         """``H @ states`` for a ``(2^N,)`` vector or ``(2^N, k)`` block."""
         states = self._coerce(states)
-        column = states.ndim == 1
+        rows, split = self._to_rows(states)
         if self._diagonal is not None:
-            out = states * (
-                self._diagonal if column else self._diagonal[:, None]
-            )
+            out = rows * self._diagonal
         else:
-            out = np.zeros_like(states)
-        if self._offdiag:
-            self._apply_offdiag(states, out, np.empty_like(states))
-        return out
+            out = np.zeros_like(rows)
+        if not self.is_diagonal:
+            self._offdiag_into(rows, out, np.empty_like(rows))
+        return self._from_rows(states.shape, split, out)
 
     def __call__(self, states: np.ndarray) -> np.ndarray:
         """Alias for :meth:`apply` (lets the kernel act as a matvec)."""
@@ -653,10 +797,15 @@ def chebyshev_expm_multiply(
     ``H`` is shifted and scaled into ``[−1, 1]`` using the kernel's
     rigorous spectral bounds, then ``exp(−i a x)`` is expanded in
     Chebyshev polynomials with Bessel-function coefficients.  The
-    three-term recurrence needs a fixed ``≈ a = ρ·t`` matvecs, keeps
-    only three auxiliary blocks, and pushes every column of a
-    ``(2^N, k)`` block through each step at once — unlike the per-column
-    Krylov spaces of :func:`lanczos_expm_multiply`.
+    three-term recurrence needs a fixed ``≈ a = ρ·t`` matvecs and pushes
+    every column of a ``(2^N, k)`` block through each step at once.
+
+    The recurrence runs on the kernel's row block (transposed once on
+    entry and once on exit).  The coefficients ``(−i)^k J_k`` are real
+    for even ``k`` and imaginary for odd ``k``, so the terms feed two
+    accumulators with real weights and the result is
+    ``e^{−i·shift·t}(even + i·odd)`` — for a real ``H`` the whole
+    recurrence stays in float64.
     """
     if duration < 0:
         raise SimulationError(f"negative duration {duration}")
@@ -670,38 +819,36 @@ def chebyshev_expm_multiply(
     coefficients = _chebyshev_coefficients(span, tol)
     inv_radius = 1.0 / radius
 
-    # Precompute the scaled diagonal of H̃ = (H − shift)/radius once;
-    # every recurrence step then costs one diagonal multiply, one
-    # view-copy + zaxpy per off-diagonal term, and two axpys — all into
-    # reused buffers (5 blocks total, independent of the step count).
-    column = states.ndim == 1
+    # With D̃ the scaled diagonal of H̃ = (H − shift)/radius, each step
+    # T_{k+1} = 2·H̃·T_k − T_{k−1} is written into the T_{k−1} buffer:
+    # one multiply and one subtract for the diagonal, then the
+    # off-diagonal routine at scale 2/radius.  Five row blocks in all,
+    # independent of the step count.
     if kernel._diagonal is not None:
         scaled_diagonal = (kernel._diagonal - shift) * inv_radius
     else:
         scaled_diagonal = np.full(kernel.dim, -shift * inv_radius)
-    diagonal_b = scaled_diagonal if column else scaled_diagonal[:, None]
+    twice_diagonal = 2.0 * scaled_diagonal
 
-    def scaled_matvec(block: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(block, diagonal_b, out=out)
-        kernel._apply_offdiag(block, out, scratch, scale=inv_radius)
-
-    previous = states.copy()
-    current = np.empty_like(states)
-    work = np.empty_like(states)
-    scratch = np.empty_like(states)
-    scaled_matvec(previous, current)
-    accumulated = coefficients[0] * previous
-    flat_acc = accumulated.reshape(-1)
-    blas.zaxpy(current.reshape(-1), flat_acc, a=coefficients[1])
-    for coefficient in coefficients[2:]:
-        scaled_matvec(current, work)
-        # next = 2·work − previous, written into the previous buffer.
-        np.multiply(previous, -1.0, out=previous)
-        blas.zaxpy(work.reshape(-1), previous.reshape(-1), a=2.0)
+    previous, split = kernel._to_rows(states)
+    scratch = np.empty_like(previous)
+    current = previous * scaled_diagonal
+    kernel._offdiag_into(previous, current, scratch, scale=inv_radius)
+    even = coefficients[0].real * previous
+    odd = coefficients[1].imag * current
+    accumulators = (even.reshape(-1), odd.reshape(-1))
+    axpy = kernel._axpy
+    for order in range(2, len(coefficients)):
+        np.multiply(current, twice_diagonal, out=scratch)
+        np.subtract(scratch, previous, out=previous)
+        kernel._offdiag_into(current, previous, scratch, 2.0 * inv_radius)
         previous, current = current, previous
-        blas.zaxpy(current.reshape(-1), flat_acc, a=coefficient)
-    accumulated *= np.exp(-1j * shift * duration)
-    return accumulated
+        coefficient = coefficients[order]
+        weight = coefficient.imag if order & 1 else coefficient.real
+        axpy(current.reshape(-1), accumulators[order & 1], a=weight)
+    out = kernel._from_rows(states.shape, split, even, odd)
+    out *= np.exp(-1j * shift * duration)
+    return out
 
 
 def expm_multiply_matrix_free(
@@ -711,16 +858,15 @@ def expm_multiply_matrix_free(
     num_qubits: int,
     cache: bool = True,
     tol: float = DEFAULT_LANCZOS_TOL,
-    max_krylov: Optional[int] = None,
 ) -> np.ndarray:
     """``exp(−i H t) @ states`` without ever materializing ``H``.
 
     Builds (or reuses) the :class:`HamiltonianKernel` for
-    ``hamiltonian`` and picks the propagator per segment: all-Z kernels
-    collapse to a phase multiply; short phase spans take the adaptive
-    Lanczos path; long spans and multi-column blocks take the Chebyshev
-    recurrence.  This is the ``backend="matrix_free"`` entry point of
-    the evolution engine.
+    ``hamiltonian``: all-Z kernels collapse to a phase multiply, every
+    other segment takes the Chebyshev recurrence (which beat the
+    Lanczos propagator on single columns at every phase span measured,
+    N = 8–14, spans 2–20).  This is the ``backend="matrix_free"`` entry
+    point of the evolution engine.
     """
     kernel = hamiltonian_kernel(hamiltonian, num_qubits, cache=cache)
     states = np.asarray(states, dtype=complex)
@@ -738,14 +884,7 @@ def expm_multiply_matrix_free(
         )
         phase = np.exp(-1j * duration * diagonal)
         return states * (phase if states.ndim == 1 else phase[:, None])
-    lo, hi = kernel.spectral_bounds()
-    span = 0.5 * (hi - lo) * duration
-    columns = 1 if states.ndim == 1 else states.shape[1]
-    if span >= CHEBYSHEV_MIN_PHASE_SPAN or columns > 1:
-        return chebyshev_expm_multiply(kernel, states, duration, tol=tol)
-    return lanczos_expm_multiply(
-        kernel, states, duration, tol=tol, max_krylov=max_krylov
-    )
+    return chebyshev_expm_multiply(kernel, states, duration, tol=tol)
 
 
 # ----------------------------------------------------------------------

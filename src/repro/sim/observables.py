@@ -12,14 +12,14 @@ Figure 6 reports two observables on Ising-type systems:
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.hamiltonian.expression import Hamiltonian
 from repro.hamiltonian.pauli import PauliString
-from repro.sim.operators import hamiltonian_matrix, pauli_string_matrix
+from repro.sim.kernels import apply_pauli_string, hamiltonian_kernel
 
 __all__ = [
     "expectation",
@@ -39,30 +39,48 @@ def _num_qubits_of(state: np.ndarray) -> int:
     return num_qubits
 
 
+def _z_expectation(
+    probabilities: np.ndarray, qubits: Sequence[int], num_qubits: int
+) -> float:
+    """``⟨Z_{q1} Z_{q2} …⟩`` as a sign-weighted sum of ``|ψ|²``.
+
+    Qubit 0 is the most significant index bit (the convention of
+    :mod:`repro.sim.kernels`).
+    """
+    index = np.arange(1 << num_qubits)
+    parity = np.zeros_like(index)
+    for qubit in qubits:
+        if not 0 <= qubit < num_qubits:
+            raise SimulationError(
+                f"Z on qubit {qubit} is outside the {num_qubits}-qubit state"
+            )
+        parity ^= index >> (num_qubits - 1 - qubit)
+    return float(np.dot(probabilities, 1 - 2 * (parity & 1)))
+
+
 def expectation(state: np.ndarray, hamiltonian: Hamiltonian) -> float:
-    """``⟨ψ| H |ψ⟩`` (real by Hermiticity)."""
+    """``⟨ψ| H |ψ⟩`` (real by Hermiticity), through the Pauli kernel."""
     num_qubits = _num_qubits_of(state)
-    matrix = hamiltonian_matrix(hamiltonian, num_qubits)
-    return float(np.real(np.vdot(state, matrix.dot(state))))
+    kernel = hamiltonian_kernel(hamiltonian, num_qubits, cache=False)
+    return float(np.real(np.vdot(state, kernel.apply(state))))
 
 
 def pauli_expectation(state: np.ndarray, string: PauliString) -> float:
     """``⟨ψ| P |ψ⟩`` for a single Pauli string."""
     num_qubits = _num_qubits_of(state)
-    matrix = pauli_string_matrix(string, num_qubits)
-    return float(np.real(np.vdot(state, matrix.dot(state))))
+    if all(label == "Z" for _, label in string.ops):
+        return _z_expectation(np.abs(state) ** 2, string.support, num_qubits)
+    applied = apply_pauli_string(string, state, num_qubits)
+    return float(np.real(np.vdot(state, applied)))
 
 
 def z_average(state: np.ndarray, num_qubits: int = None) -> float:
     """``(1/N) Σ_i ⟨Z_i⟩``."""
-    n = num_qubits or _num_qubits_of(state)
+    width = _num_qubits_of(state)
+    n = num_qubits or width
+    probabilities = np.abs(state) ** 2
     return float(
-        np.mean(
-            [
-                pauli_expectation(state, PauliString.single("Z", i))
-                for i in range(n)
-            ]
-        )
+        np.mean([_z_expectation(probabilities, (i,), width) for i in range(n)])
     )
 
 
@@ -74,27 +92,24 @@ def zz_average(
     ``periodic=True`` wraps around (cycle models); with ``False`` the sum
     runs over the N−1 chain bonds and is averaged accordingly.
     """
-    n = num_qubits or _num_qubits_of(state)
+    width = _num_qubits_of(state)
+    n = num_qubits or width
     if n < 2:
         raise SimulationError("ZZ average needs at least 2 qubits")
     pairs: List = [(i, i + 1) for i in range(n - 1)]
     if periodic and n > 2:
         pairs.append((n - 1, 0))
-    values = [
-        pauli_expectation(
-            state, PauliString.from_pairs([(i, "Z"), (j, "Z")])
-        )
-        for i, j in pairs
-    ]
-    return float(np.mean(values))
+    probabilities = np.abs(state) ** 2
+    return float(
+        np.mean([_z_expectation(probabilities, pair, width) for pair in pairs])
+    )
 
 
 def magnetization_profile(state: np.ndarray) -> List[float]:
     """``⟨Z_i⟩`` for every qubit, in index order."""
     n = _num_qubits_of(state)
-    return [
-        pauli_expectation(state, PauliString.single("Z", i)) for i in range(n)
-    ]
+    probabilities = np.abs(state) ** 2
+    return [_z_expectation(probabilities, (i,), n) for i in range(n)]
 
 
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:

@@ -2,7 +2,7 @@
 
 :func:`select_backend` picks one of three evolution backends per
 segment: ``diagonal`` (all-Z Hamiltonians, any size), ``dense`` (small
-registers) and ``matrix_free`` (the Pauli-kernel Lanczos propagator of
+registers) and ``matrix_free`` (the Pauli-kernel Chebyshev propagator of
 :mod:`repro.sim.kernels`, everything else).  Three mechanisms make the
 first two cheap in the hot Monte-Carlo/ZNE loop:
 
@@ -36,7 +36,6 @@ from scipy.linalg import expm
 from repro.errors import SimulationError
 from repro.hamiltonian.expression import Hamiltonian
 from repro.sim.kernels import (
-    DEFAULT_MAX_KRYLOV_DIM,
     clear_kernel_caches,
     configure_kernel_caches,
     kernel_cache_stats,
@@ -60,7 +59,6 @@ __all__ = [
     "propagator_build_max_qubits",
     "select_backend",
     "matrix_free_block_columns",
-    "matrix_free_krylov_dim",
     "memory_budget_bytes",
     "BACKEND_NAMES",
     "record_fast_path",
@@ -84,7 +82,7 @@ DEFAULT_PROPAGATOR_MAX_QUBITS = 10
 DEFAULT_PROPAGATOR_BUILD_MAX_QUBITS = 7
 
 #: Working-set budget (bytes) of the matrix-free path: it sizes the
-#: Krylov basis and the column chunks of wide blocks.
+#: column chunks of wide blocks.
 DEFAULT_MEMORY_BUDGET_BYTES = 512 * 2**20
 
 #: The selectable evolution backends (``auto`` resolves per segment).
@@ -170,18 +168,6 @@ def matrix_free_block_columns(num_qubits: int) -> int:
     return int(max(1, _limits["memory_budget_bytes"] // block_bytes))
 
 
-def matrix_free_krylov_dim(num_qubits: int) -> int:
-    """Budget-aware Krylov basis cap for the Lanczos propagator.
-
-    The basis is the matrix-free path's only super-linear memory use
-    (``m · 2^N · 16`` bytes); half the configured budget is reserved
-    for it, and a smaller basis simply trades into more sub-steps.
-    """
-    vector_bytes = (1 << num_qubits) * 16
-    affordable = _limits["memory_budget_bytes"] // (2 * vector_bytes)
-    return int(max(8, min(DEFAULT_MAX_KRYLOV_DIM, affordable)))
-
-
 def select_backend(hamiltonian: Hamiltonian, num_qubits: int) -> str:
     """Pick the evolution path for one segment.
 
@@ -189,7 +175,7 @@ def select_backend(hamiltonian: Hamiltonian, num_qubits: int) -> str:
       multiply);
     * ``dense`` — N ≤ :func:`propagator_max_qubits`; the 2^N×2^N
       unitary is cheap and cacheable;
-    * ``matrix_free`` — otherwise: Pauli kernels plus Lanczos, no
+    * ``matrix_free`` — otherwise: Pauli kernels plus Chebyshev, no
       operator ever materialized.
     """
     if is_diagonal_hamiltonian(hamiltonian):
@@ -209,7 +195,7 @@ def _check_support(hamiltonian: Hamiltonian, num_qubits: int) -> None:
     the fast paths must enforce the same contract (a silent
     ``range(num_qubits)`` loop would treat out-of-range operators as
     identity and return a wrong state)."""
-    for string in hamiltonian.pauli_strings():
+    for string in hamiltonian.terms:
         if string.max_qubit() >= num_qubits:
             raise SimulationError(
                 f"string {string} touches qubit {string.max_qubit()} but "
@@ -221,7 +207,7 @@ def is_diagonal_hamiltonian(hamiltonian: Hamiltonian) -> bool:
     """True when every term is a product of Z operators (or identity)."""
     return all(
         label == "Z"
-        for string in hamiltonian.pauli_strings()
+        for string in hamiltonian.terms
         for _, label in string.canonical_key
     )
 
@@ -409,7 +395,7 @@ def simulation_cache_stats() -> Dict[str, object]:
     ``fast_paths`` counts evolved state *columns* per mechanism:
     ``diagonal`` (phase multiply), ``propagator`` (cached-unitary
     matmul), ``dense_build`` (freshly exponentiated dense batch) and
-    ``matrix_free`` (Pauli kernels + Lanczos); ``krylov`` is retired
+    ``matrix_free`` (Pauli kernels + Chebyshev); ``krylov`` is retired
     and always 0.  ``kernel`` nests the matrix-free sign /
     structure / kernel cache counters.
     """

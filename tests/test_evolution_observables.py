@@ -26,6 +26,11 @@ from repro.sim import (
     z_average,
     zz_average,
 )
+from repro.sim.operators import (
+    hamiltonian_matrix,
+    max_operator_qubits,
+    pauli_string_matrix,
+)
 
 
 class TestStates:
@@ -143,6 +148,77 @@ class TestObservables:
     def test_bad_state_dimension(self):
         with pytest.raises(SimulationError):
             z_average(np.ones(3, dtype=complex))
+
+
+def _random_state(rng: np.random.Generator, num_qubits: int) -> np.ndarray:
+    state = rng.standard_normal(2**num_qubits) + 1j * rng.standard_normal(
+        2**num_qubits
+    )
+    return state / np.linalg.norm(state)
+
+
+def _random_strings(rng: np.random.Generator, num_qubits: int, count: int):
+    strings = []
+    for _ in range(count):
+        weight = int(rng.integers(1, num_qubits + 1))
+        qubits = rng.choice(num_qubits, size=weight, replace=False)
+        strings.append(
+            PauliString({int(q): str(rng.choice(["X", "Y", "Z"])) for q in qubits})
+        )
+    return strings
+
+
+class TestObservablesMatchMatrices:
+    """The kernel and |ψ|²-sign paths against the operator matrices."""
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 5, 8, 10])
+    def test_pauli_and_hamiltonian_expectations(self, num_qubits):
+        rng = np.random.default_rng(num_qubits)
+        state = _random_state(rng, num_qubits)
+        strings = _random_strings(rng, num_qubits, 6)
+        strings.append(PauliString({q: "Z" for q in range(num_qubits)}))
+        for string in strings:
+            matrix = pauli_string_matrix(string, num_qubits)
+            expected = np.real(np.vdot(state, matrix @ state))
+            assert abs(pauli_expectation(state, string) - expected) <= 1e-12
+        h = Hamiltonian({s: float(rng.normal()) for s in strings})
+        expected = np.real(np.vdot(state, hamiltonian_matrix(h, num_qubits) @ state))
+        assert abs(expectation(state, h) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("num_qubits", [2, 3, 6, 10])
+    def test_z_observables(self, num_qubits):
+        rng = np.random.default_rng(100 + num_qubits)
+        state = _random_state(rng, num_qubits)
+
+        def z_on(*qubits):
+            string = PauliString({q: "Z" for q in qubits})
+            matrix = pauli_string_matrix(string, num_qubits)
+            return np.real(np.vdot(state, matrix @ state))
+
+        profile = [z_on(q) for q in range(num_qubits)]
+        assert np.allclose(magnetization_profile(state), profile, rtol=0, atol=1e-12)
+        assert abs(z_average(state) - np.mean(profile)) <= 1e-12
+        bonds = [z_on(q, q + 1) for q in range(num_qubits - 1)]
+        assert abs(zz_average(state, periodic=False) - np.mean(bonds)) <= 1e-12
+        if num_qubits > 2:
+            bonds.append(z_on(num_qubits - 1, 0))
+        assert abs(zz_average(state) - np.mean(bonds)) <= 1e-12
+
+    def test_above_the_operator_cap(self):
+        """N=17 exceeds the default matrix cap; observables still work."""
+        num_qubits = 17
+        assert max_operator_qubits() < num_qubits
+        state = np.zeros(2**num_qubits, dtype=complex)
+        state[0] = 1.0
+        h = zz(0, 16) + 0.5 * x(3) + 0.25 * z(16)
+        with pytest.raises(SimulationError):
+            hamiltonian_matrix(h, num_qubits)
+        assert expectation(state, h) == pytest.approx(1.25, abs=1e-12)
+        plus = np.full(2**num_qubits, 2 ** (-num_qubits / 2), dtype=complex)
+        assert pauli_expectation(plus, PauliString.single("X", 16)) == pytest.approx(1.0)
+        assert z_average(state) == pytest.approx(1.0)
+        assert zz_average(state) == pytest.approx(1.0)
+        assert magnetization_profile(state) == pytest.approx([1.0] * num_qubits)
 
 
 class TestPhysics:

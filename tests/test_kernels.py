@@ -29,7 +29,12 @@ from repro.sim import (
     select_backend,
     simulation_cache_stats,
 )
-from repro.sim.kernels import HamiltonianKernel, chebyshev_expm_multiply
+from repro.sim.kernels import (
+    TAIL_QUBITS,
+    HamiltonianKernel,
+    _chebyshev_coefficients,
+    chebyshev_expm_multiply,
+)
 from repro.sim.operators import (
     clear_operator_cache,
     configure_operator_limits,
@@ -161,6 +166,150 @@ class TestPauliApplication:
         expected = hamiltonian_matrix(h, 3).toarray() @ state
         assert np.allclose(operator.matvec(state), expected, atol=ATOL)
         assert np.allclose(operator.rmatvec(state), expected, atol=ATOL)
+
+
+def per_term_apply(h: Hamiltonian, states: np.ndarray, n: int) -> np.ndarray:
+    """Reference ``H @ states``: one strided view-copy per Pauli term.
+
+    The pre-GEMM kernel loop, kept as an independent reference: XOR by
+    a flip mask reverses the flipped qubit axes of the ``(2,)*N`` view,
+    Z/Y factors contribute a parity sign, Y factors a ``(−i)^{n_y}``.
+    """
+    states = np.asarray(states, dtype=complex)
+    extra = states.shape[1:]
+    source = states.reshape((2,) * n + extra)
+    index = np.arange(2**n)
+    out = np.zeros_like(states)
+    for string, coeff in h.terms.items():
+        slices = []
+        parity = np.zeros(2**n, dtype=np.int64)
+        n_y = 0
+        for qubit in range(n):
+            label = string.label_on(qubit)
+            flip = label in ("X", "Y")
+            slices.append(slice(None, None, -1) if flip else slice(None))
+            if label in ("Y", "Z"):
+                parity ^= (index >> (n - 1 - qubit)) & 1
+            n_y += label == "Y"
+        moved = source[tuple(slices)].reshape(states.shape)
+        sign = (1 - 2 * parity).reshape((-1,) + (1,) * len(extra))
+        out += coeff * (-1j) ** n_y * sign * moved
+    return out
+
+
+def reference_chebyshev(h: Hamiltonian, states, duration, n, tol=1e-14):
+    """The Chebyshev recurrence in complex arithmetic on per_term_apply."""
+    lo, hi = HamiltonianKernel(h, n).spectral_bounds()
+    shift, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    coefficients = _chebyshev_coefficients(radius * duration, tol)
+
+    def scaled(v):
+        return (per_term_apply(h, v, n) - shift * v) / radius
+
+    previous = np.asarray(states, dtype=complex)
+    current = scaled(previous)
+    total = coefficients[0] * previous + coefficients[1] * current
+    for coefficient in coefficients[2:]:
+        previous, current = current, 2.0 * scaled(current) - previous
+        total += coefficient * current
+    return np.exp(-1j * shift * duration) * total
+
+
+def _weighted(rng, strings) -> Hamiltonian:
+    return Hamiltonian({s: float(rng.uniform(0.3, 1.5)) for s in strings})
+
+
+def kernel_case(name: str, n: int, rng: np.random.Generator) -> Hamiltonian:
+    """Hamiltonians that exercise the lead/tail split and real rows."""
+    m = min(TAIL_QUBITS, n)
+    singles = [PauliString.single("X", q) for q in range(n)]
+    zs = [PauliString.single("Z", q) for q in range(n)]
+    if name == "real":  # X fields, Z fields, ZZ bonds, an even-Y pair
+        strings = singles + zs
+        strings += [PauliString({q: "Z", q + 1: "Z"}) for q in range(n - 1)]
+        if n > 1:
+            strings.append(PauliString({0: "Y", n - 1: "Y"}))
+        return _weighted(rng, strings)
+    if name == "complex":  # one Y term makes H complex
+        return _weighted(rng, singles + zs + [PauliString.single("Y", n - 1)])
+    if name == "straddle":  # XX across the lead/tail boundary
+        pair = PauliString({n - m - 1: "X", n - m: "X"})
+        tail = PauliString({n - m: "Y", n - 1: "Z"} if m > 1 else {n - 1: "X"})
+        return _weighted(rng, [pair, tail, PauliString.single("X", n - 1)] + zs)
+    if name == "all_z":
+        return _weighted(rng, zs + [PauliString({0: "Z", n - 1: "Z"})])
+    raise ValueError(name)
+
+
+def kernel_state(kind: str, n: int, k: int, rng: np.random.Generator):
+    block = rng.standard_normal((2**n, k)).astype(complex)
+    if kind == "complex":
+        block += 1j * rng.standard_normal((2**n, k))
+    return block / np.linalg.norm(block, axis=0)
+
+
+KERNEL_CASES = [
+    ("real", 12, "real"),
+    ("real", 12, "complex"),  # 2·k rows: the tail GEMM runs in chunks at k=3
+    ("real", 10, "complex"),
+    ("complex", 9, "complex"),
+    ("complex", 8, "real"),
+    ("straddle", 9, "complex"),
+    ("straddle", 6, "real"),
+    ("all_z", 7, "complex"),
+    ("real", 1, "complex"),
+    ("real", 2, "real"),
+    ("complex", 3, "complex"),
+    ("real", 3, "complex"),
+]
+
+
+class TestRowKernelEquivalence:
+    """The GEMM tail, lead view-copies and real-row recurrence against
+    the per-term loop and against ``exact_evolve``, to ≤1e-12."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("case,n,state_kind", KERNEL_CASES)
+    def test_apply_matches_per_term_loop(self, case, n, state_kind, k):
+        rng = np.random.default_rng(n * 10 + k)
+        h = kernel_case(case, n, rng)
+        block = kernel_state(state_kind, n, k, rng)
+        kernel = HamiltonianKernel(h, n)
+        expected = per_term_apply(h, block, n)
+        assert np.abs(kernel.apply(block) - expected).max() <= 1e-12
+        assert np.abs(kernel.apply(block[:, 0]) - expected[:, 0]).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("case,n,state_kind", KERNEL_CASES)
+    def test_chebyshev_matches_references(
+        self, case, n, state_kind, k, exact_evolve
+    ):
+        rng = np.random.default_rng(n * 10 + k + 1)
+        h = kernel_case(case, n, rng)
+        block = kernel_state(state_kind, n, k, rng)
+        kernel = HamiltonianKernel(h, n)
+        got = chebyshev_expm_multiply(kernel, block, 0.7, tol=1e-14)
+        assert got.shape == block.shape
+        exact = exact_evolve(block, h, 0.7, n)
+        assert np.abs(got - exact).max() <= 1e-12
+        reference = reference_chebyshev(h, block, 0.7, n)
+        assert np.abs(got - reference).max() <= 1e-12
+
+    def test_real_and_complex_kernels_are_classified(self):
+        rng = np.random.default_rng(3)
+        assert HamiltonianKernel(kernel_case("real", 8, rng), 8).real
+        assert HamiltonianKernel(kernel_case("all_z", 8, rng), 8).real
+        assert not HamiltonianKernel(kernel_case("complex", 8, rng), 8).real
+        # A single Y in the tail makes the GEMM matrix complex.
+        assert not HamiltonianKernel(kernel_case("straddle", 8, rng), 8).real
+
+    def test_terms_split_between_lead_and_tail(self):
+        """Only terms wholly on the last TAIL_QUBITS qubits join the GEMM."""
+        n = 9
+        m = min(TAIL_QUBITS, n)
+        kernel = HamiltonianKernel(kernel_case("straddle", n, np.random.default_rng(4)), n)
+        assert len(kernel._lead) == 1  # the straddling XX
+        assert kernel._tail.shape == (2**m, 2**m)
 
 
 class TestMatrixFreePropagators:

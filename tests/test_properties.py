@@ -10,6 +10,7 @@ from repro.core.error_bounds import theorem1_bound
 from repro.core.linear_system import b_difference_l1, l1_norm
 from repro.core.partition import partition_channels
 from repro.hamiltonian import Hamiltonian, PauliString
+from repro.hamiltonian.pauli import pauli_order_key
 from repro.sim.operators import pauli_string_matrix
 
 # ----------------------------------------------------------------------
@@ -61,6 +62,12 @@ class TestPauliProperties:
         phase, result = p * p
         assert phase == 1
         assert result.is_identity
+
+    @given(st.lists(pauli_strings(max_qubits=6), max_size=12))
+    def test_order_key_sorts_like_lt(self, strings):
+        """The sort key reproduces ``__lt__``'s total order exactly."""
+        unique = list(set(strings))
+        assert sorted(unique, key=pauli_order_key) == sorted(unique)
 
     @given(pauli_strings(), pauli_strings())
     def test_commutation_is_symmetric(self, a, b):
