@@ -14,13 +14,20 @@ a Rabi drive contributes two channels (cos and sin) sharing Ω and φ.
 
 The compiler's *synthesized variable* for a channel is
 ``expression × T_sim`` (Section 4.1).
+
+Every channel class also has an array form of its expression,
+:meth:`Channel.batch_evaluator`, which evaluates all channels of that
+class at ``k`` variable assignments at once; the simulator uses it to
+build the Hamiltonians of many noise realizations in one pass.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Dict, Mapping, Tuple
+from typing import Callable, Dict, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from repro.aais.variables import Variable
 from repro.errors import AAISError
@@ -33,6 +40,9 @@ __all__ = [
     "RabiSinChannel",
     "VanDerWaalsChannel",
 ]
+
+#: Maps a ``(V, k)`` matrix of variable values to ``(n, k)`` expressions.
+BatchEvaluator = Callable[[np.ndarray], np.ndarray]
 
 
 class Channel(abc.ABC):
@@ -98,6 +108,20 @@ class Channel(abc.ABC):
     def expression_range(self) -> Tuple[float, float]:
         """Reachable ``(min, max)`` of the expression under variable bounds."""
 
+    @classmethod
+    @abc.abstractmethod
+    def batch_evaluator(
+        cls, channels: Sequence["Channel"], rows: Mapping[str, int]
+    ) -> BatchEvaluator:
+        """Array form of :meth:`evaluate` for ``channels`` of this class.
+
+        ``rows`` maps each variable name to its row in a ``(V, k)``
+        matrix of values (one column per assignment).  The returned
+        function maps such a matrix to the ``(len(channels), k)``
+        expression values, computed with the same arithmetic as
+        :meth:`evaluate`.
+        """
+
     # ------------------------------------------------------------------
     def alpha_bounds(self) -> Tuple[float, float]:
         """Bounds of the synthesized variable α = expression × T_sim.
@@ -151,6 +175,12 @@ class ScaledVariableChannel(Channel):
     def evaluate(self, values: Mapping[str, float]) -> float:
         return self.scale * self._require(values, self.variable.name)
 
+    @classmethod
+    def batch_evaluator(cls, channels, rows):
+        index = np.array([rows[c.variable.name] for c in channels])
+        scale = np.array([[c.scale] for c in channels])
+        return lambda matrix: scale * matrix[index]
+
     def expression_range(self) -> Tuple[float, float]:
         a = self.scale * self.variable.lower
         b = self.scale * self.variable.upper
@@ -187,6 +217,14 @@ class _RabiChannel(Channel):
         peak = self.scale * self.omega.upper
         return (-peak, peak)
 
+    @staticmethod
+    def _batch_parts(channels, rows, sign: float):
+        """Row indices of Ω and φ and the signed scale column."""
+        omega = np.array([rows[c.omega.name] for c in channels])
+        phi = np.array([rows[c.phi.name] for c in channels])
+        scale = np.array([[sign * c.scale] for c in channels])
+        return omega, phi, scale
+
 
 class RabiCosChannel(_RabiChannel):
     """Expression ``scale · Ω · cos(φ)`` driving an X term."""
@@ -196,6 +234,11 @@ class RabiCosChannel(_RabiChannel):
         phi = self._require(values, self.phi.name)
         return self.scale * omega * math.cos(phi)
 
+    @classmethod
+    def batch_evaluator(cls, channels, rows):
+        omega, phi, scale = cls._batch_parts(channels, rows, 1.0)
+        return lambda matrix: scale * matrix[omega] * np.cos(matrix[phi])
+
 
 class RabiSinChannel(_RabiChannel):
     """Expression ``-scale · Ω · sin(φ)`` driving a Y term."""
@@ -204,6 +247,11 @@ class RabiSinChannel(_RabiChannel):
         omega = self._require(values, self.omega.name)
         phi = self._require(values, self.phi.name)
         return -self.scale * omega * math.sin(phi)
+
+    @classmethod
+    def batch_evaluator(cls, channels, rows):
+        omega, phi, scale = cls._batch_parts(channels, rows, -1.0)
+        return lambda matrix: scale * matrix[omega] * np.sin(matrix[phi])
 
 
 class VanDerWaalsChannel(Channel):
@@ -263,6 +311,35 @@ class VanDerWaalsChannel(Channel):
                 f"channel {self.name}: coincident atoms (distance 0)"
             )
         return self.prefactor / d**6
+
+    @classmethod
+    def batch_evaluator(cls, channels, rows):
+        """All pair expressions at once; channels must share a dimension."""
+        half = channels[0].dimension
+        index = np.array(
+            [[rows[v.name] for v in c.variables] for c in channels]
+        )
+        prefactor = np.array([[c.prefactor] for c in channels])
+        names = [c.name for c in channels]
+
+        def evaluate(matrix: np.ndarray) -> np.ndarray:
+            coords = matrix[index]  # (channels, 2·half, k)
+            delta = coords[:, :half] - coords[:, half:]
+            distance = (
+                np.abs(delta[:, 0])
+                if half == 1
+                else np.hypot(delta[:, 0], delta[:, 1])
+            )
+            coincident = np.flatnonzero((distance <= 0).any(axis=1))
+            if coincident.size:
+                raise AAISError(
+                    f"channel {names[coincident[0]]}: coincident atoms "
+                    f"(distance 0)"
+                )
+            # float_power rounds like the scalar ``d**6``; power does not.
+            return prefactor / np.float_power(distance, 6)
+
+        return evaluate
 
     def expression_range(self) -> Tuple[float, float]:
         return (

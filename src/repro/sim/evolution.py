@@ -23,7 +23,7 @@ at once.  Each segment dispatches to one of three **backends**
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,14 +31,21 @@ from repro.errors import SimulationError
 from repro.hamiltonian.expression import Hamiltonian
 from repro.hamiltonian.time_dependent import PiecewiseHamiltonian
 from repro.pulse.schedule import PulseSchedule
-from repro.sim.kernels import expm_multiply_matrix_free
+from repro.sim.kernels import (
+    HamiltonianKernel,
+    _structure_for,
+    expm_multiply_matrix_free,
+    kernel_expm_multiply,
+)
 from repro.sim.propagators import (
     BACKEND_NAMES,
     batched_propagators,
     cached_propagator,
+    coefficient_rows,
     diagonal_vector,
     matrix_free_block_columns,
     propagator_build_max_qubits,
+    propagator_max_qubits,
     record_fast_path,
     select_backend,
     store_propagator,
@@ -52,6 +59,7 @@ __all__ = [
     "evolve_piecewise",
     "evolve_schedule",
     "evolve_schedule_block",
+    "evolve_realizations",
 ]
 
 
@@ -85,6 +93,17 @@ def _check_state(state: np.ndarray, num_qubits: int) -> np.ndarray:
             f"or (2^{num_qubits}, k)"
         )
     return state
+
+
+def _check_block(states: np.ndarray, num_qubits: int, name: str):
+    """:func:`_check_state` for entry points that need a column block."""
+    states = _check_state(states, num_qubits)
+    if states.ndim != 2:
+        raise SimulationError(
+            f"{name} needs a (2^{num_qubits}, k) column block, got shape "
+            f"{states.shape}"
+        )
+    return states
 
 
 def _check_backend(backend: str) -> None:
@@ -196,12 +215,7 @@ def evolve_block(
         ``auto|dense|matrix_free`` — see :func:`evolve`.
     """
     _check_backend(backend)
-    states = _check_state(states, num_qubits)
-    if states.ndim != 2:
-        raise SimulationError(
-            f"evolve_block needs a (2^{num_qubits}, k) column block, got "
-            f"shape {states.shape}"
-        )
+    states = _check_block(states, num_qubits, "evolve_block")
     k = states.shape[1]
     if len(hamiltonians) != k:
         raise SimulationError(
@@ -299,8 +313,12 @@ def evolve_block(
     if dense_pending:
         # All cache misses of the block are assembled in one BLAS call
         # and exponentiated with one batched expm.
+        strings, coefficients = coefficient_rows(
+            [h for h, _, _ in dense_pending], num_qubits
+        )
         unitaries = batched_propagators(
-            [h for h, _, _ in dense_pending],
+            strings,
+            coefficients,
             [t for _, t, _ in dense_pending],
             num_qubits,
         )
@@ -388,11 +406,11 @@ def evolve_schedule_block(
 ) -> np.ndarray:
     """Evolve ``k`` noise realizations of one schedule as a column block.
 
-    This is the Monte-Carlo hot loop restructured: instead of walking
-    the schedule once per realization, each *segment* is visited once
-    and all realizations cross it together via :func:`evolve_block`.
-    Realizations whose overrides coincide for a segment share a single
-    Hamiltonian construction and a single solver call.
+    The list-of-dicts front end of :func:`evolve_realizations`: each
+    segment's per-realization override dicts are converted on entry to
+    one ``(k,)`` array per overridden variable (a realization that does
+    not override a variable keeps the schedule's value), and every
+    segment then evolves all columns in one dispatch.
 
     Parameters
     ----------
@@ -404,44 +422,129 @@ def evolve_schedule_block(
         the unperturbed schedule (a plain block :func:`evolve_schedule`).
     """
     num_qubits = schedule.aais.num_sites
-    states = _check_state(states, num_qubits)
-    if states.ndim != 2:
-        raise SimulationError(
-            f"evolve_schedule_block needs a (2^{num_qubits}, k) column "
-            f"block, got shape {states.shape}"
-        )
+    states = _check_block(states, num_qubits, "evolve_schedule_block")
     if value_overrides is None:
-        return evolve_schedule(
-            states, schedule, backend=backend
-        )
+        return evolve_schedule(states, schedule, backend=backend)
     k = states.shape[1]
     if len(value_overrides) != k:
         raise SimulationError(
             f"{len(value_overrides)} override lists for {k} state columns"
         )
-    for index, segment in enumerate(schedule.segments):
+    segment_values = []
+    for index in range(schedule.num_segments):
         base = schedule.values_at_segment(index)
-        # Deduplicate Hamiltonian construction across realizations:
-        # with some noise channels disabled (or duplicated draws) many
-        # columns share the exact same override entry.
-        built: Dict[Tuple, Hamiltonian] = {}
-        hams: List[Hamiltonian] = []
-        for col in range(k):
-            entry = value_overrides[col][index]
-            key = tuple(sorted(entry.items()))
-            hamiltonian = built.get(key)
-            if hamiltonian is None:
-                values = dict(base)
-                values.update(entry)
-                hamiltonian = schedule.aais.hamiltonian(values)
-                built[key] = hamiltonian
-            hams.append(hamiltonian)
-        states = evolve_block(
+        entries = [overrides[index] for overrides in value_overrides]
+        names = {name for entry in entries for name in entry if name in base}
+        segment_values.append(
+            {
+                name: np.array(
+                    [entry.get(name, base[name]) for entry in entries],
+                    dtype=float,
+                )
+                for name in names
+            }
+        )
+    return evolve_realizations(states, schedule, segment_values, backend)
+
+
+def evolve_realizations(
+    states: np.ndarray,
+    schedule: PulseSchedule,
+    segment_values: Sequence[Mapping[str, Union[float, np.ndarray]]],
+    backend: str = "auto",
+) -> np.ndarray:
+    """Evolve column ``i`` of ``states`` under realization ``i`` of a
+    schedule: the Monte-Carlo hot loop.
+
+    Each segment is visited once.  :meth:`AAIS.coefficients` builds the
+    ``(k, S)`` coefficient matrix of all realizations, and the block
+    takes one path on it:
+
+    * all-Z segments (``auto``): one product of the support's cached
+      sign factors gives the ``(k, 2^N)`` diagonals, then one phase
+      multiply;
+    * ``dense`` (``auto`` up to the build threshold): one batched
+      ``expm`` of the ``k`` dense matrices, assembled in one BLAS call;
+    * otherwise ``matrix_free``: one Chebyshev recurrence over all
+      columns with a kernel of ``k`` coefficient rows, inside the union
+      of the rows' spectral bounds (column chunks if the memory budget
+      asks for them).
+
+    The support is the set of strings with a nonzero coefficient in
+    any column; :meth:`AAIS.coefficients` has already zeroed entries at
+    or below its tolerance, so a segment whose drive is off in every
+    realization keeps the diagonal path and φ = 0 keeps the kernel real.
+
+    Parameters
+    ----------
+    states:
+        ``(2^N, k)`` block; column ``i`` is realization ``i``.
+    segment_values:
+        Per segment, variable overrides as ``(k,)`` arrays (or scalars
+        shared by every column) on top of the schedule's values.
+    """
+    num_qubits = schedule.aais.num_sites
+    states = _check_block(states, num_qubits, "evolve_realizations")
+    _check_backend(backend)
+    if len(segment_values) != schedule.num_segments:
+        raise SimulationError(
+            f"{len(segment_values)} segment overrides for "
+            f"{schedule.num_segments} segments"
+        )
+    strings = tuple(s.canonical_key for s in schedule.aais.term_strings)
+    for index, segment in enumerate(schedule.segments):
+        values = schedule.values_at_segment(index)
+        values.update(segment_values[index])
+        states = _evolve_rows(
             states,
-            hams,
+            strings,
+            schedule.aais.coefficients(values),
             segment.duration,
             num_qubits,
-            cache=False,
-            backend=backend,
+            backend,
         )
     return states
+
+
+def _evolve_rows(
+    states: np.ndarray,
+    strings: Tuple[Tuple[Tuple[int, str], ...], ...],
+    coefficients: np.ndarray,
+    duration: float,
+    num_qubits: int,
+    backend: str,
+) -> np.ndarray:
+    """``exp(−i H_i t)`` on column ``i``, ``H_i = Σ_s c[i, s] P_s``."""
+    k = states.shape[1]
+    coefficients = np.broadcast_to(coefficients, (k, len(strings)))
+    support = np.flatnonzero(coefficients.any(axis=0))
+    if duration == 0 or not support.size:
+        return states
+    strings = tuple(strings[i] for i in support)
+    coefficients = coefficients[:, support]
+    structure = _structure_for(strings, num_qubits)
+    if backend == "auto" and structure.is_diagonal:
+        record_fast_path("diagonal", k)
+        diagonal = structure.diagonal_rows(coefficients)
+        return states * np.exp(-1j * duration * diagonal).T
+    # Realizations never recur, so the propagator cache is not probed.
+    if backend == "dense" or (
+        backend == "auto"
+        and num_qubits
+        <= min(propagator_max_qubits(), propagator_build_max_qubits())
+    ):
+        record_fast_path("dense_build", k)
+        unitaries = batched_propagators(
+            strings, coefficients, [duration] * k, num_qubits
+        )
+        return np.matmul(unitaries, states.T[:, :, None])[:, :, 0].T
+    record_fast_path("matrix_free", k)
+    out = np.empty_like(states)
+    chunk = matrix_free_block_columns(num_qubits, hamiltonian_per_column=True)
+    for start in range(0, k, chunk):
+        cols = slice(start, start + chunk)
+        kernel = HamiltonianKernel.from_rows(
+            strings, coefficients[cols], num_qubits
+        )
+        out[:, cols] = kernel_expm_multiply(kernel, states[:, cols], duration)
+    return out

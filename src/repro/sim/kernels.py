@@ -32,6 +32,13 @@ diagonal and splits its off-diagonal terms by support.  With
 When every off-diagonal term has an even number of Y factors, ``H`` is
 a real symmetric matrix and the kernel runs in float64: a complex state
 column becomes two real rows (Re and Im) and a real one stays one row.
+
+A kernel may also hold ``h`` Hamiltonians on one support, one
+coefficient row each (the noise realizations of a schedule segment),
+and then evolves column ``i`` of a ``(2^N, h)`` block under row ``i``:
+the diagonal is an ``(h, 2^N)`` array built by one product of cached
+sign factors, the tail a stacked ``(h, 2^m, 2^m)`` GEMM, and each lead
+term's view-copy is shared by all rows, followed by one axpy per row.
 Per-mask sign vectors and per-term-structure layouts (tail bases
 included) are memoized in process-wide LRUs
 (:func:`kernel_cache_stats`), so noise realizations that share a Pauli
@@ -75,6 +82,7 @@ __all__ = [
     "lanczos_expm_multiply",
     "chebyshev_expm_multiply",
     "expm_multiply_matrix_free",
+    "kernel_expm_multiply",
     "kernel_cache_stats",
     "clear_kernel_caches",
     "configure_kernel_caches",
@@ -238,12 +246,35 @@ def _string_matrix(
     return matrix
 
 
+def _sign_factors(
+    masks: List[int], num_qubits: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Two small factors of the ``(S, 2^N)`` ±1 sign matrix of Z masks.
+
+    With the basis index split as ``j = (hi << L) | lo`` for ``L = N // 2``
+    low bits, ``(−1)^{parity(j & m)} = (−1)^{parity(hi & m_hi)} ·
+    (−1)^{parity(lo & m_lo)}``.  Returns ``high`` ``(2^{N−L}, S)`` and
+    ``low`` ``(S, 2^L)`` in float64, so a weighted sum of the rows is one
+    product ``high @ (c[:, None] · low)`` reshaped to ``2^N``.
+    """
+    low_bits = num_qubits // 2
+    low_mask = (1 << low_bits) - 1
+    high_index = np.arange(1 << (num_qubits - low_bits), dtype=np.uint32)
+    low_index = np.arange(1 << low_bits, dtype=np.uint32)
+    high_masks = np.array([m >> low_bits for m in masks], dtype=np.uint32)
+    low_masks = np.array([m & low_mask for m in masks], dtype=np.uint32)
+    high = 1.0 - 2.0 * _parity(high_index[:, None] & high_masks[None, :])
+    low = 1.0 - 2.0 * _parity(low_masks[:, None] & low_index[None, :])
+    return high, low
+
+
 class _KernelStructure:
     """Coefficient-independent layout of one Pauli-term set.
 
-    ``diagonal`` holds ``(slot, sign_vector)`` pairs for all-Z terms
-    (``sign_vector`` is None for the identity string).  Off-diagonal
-    terms split by support:
+    All-Z terms sit at coefficient slots ``diagonal_slots``; their sign
+    rows are kept as the two factors of :func:`_sign_factors`
+    (``diagonal_high``, ``diagonal_low``), ``O(terms · 2^{N/2})``
+    memory.  Off-diagonal terms split by support:
 
     * ``lead`` holds ``(slot, flip_slices, gamma0, sign_vector)`` for
       terms touching any qubit below ``N − m``; ``flip_slices`` realizes
@@ -255,7 +286,7 @@ class _KernelStructure:
 
     ``real`` is True when every off-diagonal term has an even number of
     Y factors, i.e. ``H`` is a real symmetric matrix; the tail basis is
-    then stored as float64.  ``slot`` indexes the coefficient vector
+    then stored as float64.  ``slot`` indexes the coefficient rows
     aligned with the sorted string order of
     :meth:`Hamiltonian.pauli_strings`.
     """
@@ -263,7 +294,9 @@ class _KernelStructure:
     __slots__ = (
         "num_qubits",
         "real",
-        "diagonal",
+        "diagonal_slots",
+        "diagonal_high",
+        "diagonal_low",
         "lead",
         "tail_slots",
         "tail_basis",
@@ -278,7 +311,8 @@ class _KernelStructure:
         tail_qubits = min(TAIL_QUBITS, num_qubits)
         first_tail = num_qubits - tail_qubits
         self.real = True
-        self.diagonal: List[Tuple[int, Optional[np.ndarray]]] = []
+        diagonal_slots: List[int] = []
+        diagonal_masks: List[int] = []
         self.lead: List[
             Tuple[int, Tuple[slice, ...], complex, Optional[np.ndarray]]
         ] = []
@@ -287,7 +321,8 @@ class _KernelStructure:
         for slot, ops in enumerate(strings):
             flip, zy, n_y = _string_masks(ops, num_qubits)
             if flip == 0:
-                self.diagonal.append((slot, _sign_vector(zy, num_qubits)))
+                diagonal_slots.append(slot)
+                diagonal_masks.append(zy)
                 continue
             self.real = self.real and n_y % 2 == 0
             if ops[0][0] >= first_tail:
@@ -303,11 +338,33 @@ class _KernelStructure:
                     _sign_vector(zy, num_qubits),
                 )
             )
+        self.diagonal_slots = np.array(diagonal_slots, dtype=np.intp)
+        self.diagonal_high, self.diagonal_low = _sign_factors(
+            diagonal_masks, num_qubits
+        )
         self.tail_slots = np.array(tail_slots, dtype=np.intp)
         self.tail_basis: Optional[np.ndarray] = None
         if tail_matrices:
             basis = np.array(tail_matrices)
             self.tail_basis = basis.real.copy() if self.real else basis
+
+    @property
+    def is_diagonal(self) -> bool:
+        """True when every term is all-Z."""
+        return not self.lead and self.tail_basis is None
+
+    def diagonal_rows(self, coefficients: np.ndarray) -> Optional[np.ndarray]:
+        """The ``(h, 2^N)`` all-Z diagonals of ``h`` coefficient rows.
+
+        One batched product of the sign factors; None when the set has
+        no all-Z term.
+        """
+        if not self.diagonal_slots.size:
+            return None
+        weights = coefficients[:, self.diagonal_slots]
+        scaled = weights[:, :, None] * self.diagonal_low
+        diagonal = np.matmul(self.diagonal_high, scaled)
+        return diagonal.reshape(len(coefficients), -1)
 
 
 def _structure_for(
@@ -338,25 +395,32 @@ class HamiltonianKernel:
     num_qubits:
         Register size; every string must fit inside it.
 
+    :meth:`from_rows` builds a kernel of ``h`` Hamiltonians on one
+    shared support instead, one coefficient row each (noise
+    realizations of a segment); column ``i`` of a ``(2^N, h)`` block is
+    then evolved under row ``i``.  A Hamiltonian kernel is the ``h = 1``
+    case and applies to any number of columns.
+
     Notes
     -----
-    Construction touches only ``O(terms · 2^N)`` memory: one real
-    diagonal vector for the all-Z part, one int8 sign vector per lead
-    off-diagonal term (shared through the process-wide sign cache) and
-    one ``2^m × 2^m`` tail matrix (``tensordot`` of the tail
-    coefficients with the cached basis).  The ``4^N`` matrix is never
-    formed.
+    Construction touches only ``O(h · 2^N)`` memory: the ``(h, 2^N)``
+    real diagonal of the all-Z part (one product of the structure's
+    cached sign factors), one int8 sign vector per lead off-diagonal
+    term (shared through the process-wide sign cache) and an
+    ``(h, 2^m, 2^m)`` tail stack (``tensordot`` of the tail coefficients
+    with the cached basis).  The ``4^N`` matrix is never formed.
 
     Internally every operation works on a row-major ``(rows, 2^N)``
     block: float64 when ``H`` is :attr:`real`, where a complex column
     becomes two rows (Re and Im) and a real one stays one row; complex128
-    otherwise.
+    otherwise.  Row ``r`` belongs to Hamiltonian ``r mod h``.
     """
 
     __slots__ = (
         "num_qubits",
         "dim",
         "num_terms",
+        "num_hamiltonians",
         "real",
         "_axpy",
         "_diagonal",
@@ -366,47 +430,65 @@ class HamiltonianKernel:
     )
 
     def __init__(self, hamiltonian: Hamiltonian, num_qubits: int):
+        strings = hamiltonian.pauli_strings()
+        self._build(
+            tuple(s.canonical_key for s in strings),
+            np.array([[hamiltonian.coefficient(s) for s in strings]]),
+            num_qubits,
+        )
+
+    @classmethod
+    def from_rows(
+        cls,
+        strings: Tuple[Tuple[Tuple[int, str], ...], ...],
+        coefficients: np.ndarray,
+        num_qubits: int,
+    ) -> "HamiltonianKernel":
+        """A kernel of ``h`` Hamiltonians sharing the support ``strings``.
+
+        ``strings`` are canonical Pauli keys in sorted string order and
+        ``coefficients`` is ``(h, len(strings))``; zero entries are
+        allowed.
+        """
+        kernel = cls.__new__(cls)
+        kernel._build(strings, coefficients, num_qubits)
+        return kernel
+
+    def _build(
+        self,
+        strings: Tuple[Tuple[Tuple[int, str], ...], ...],
+        coefficients: np.ndarray,
+        num_qubits: int,
+    ) -> None:
         _check_num_qubits(num_qubits)
+        coefficients = np.asarray(coefficients, dtype=float).reshape(
+            -1, len(strings)
+        )
         self.num_qubits = num_qubits
         self.dim = 1 << num_qubits
-        strings = hamiltonian.pauli_strings()
         self.num_terms = len(strings)
-        structure = _structure_for(
-            tuple(s.canonical_key for s in strings), num_qubits
-        )
-        coefficients = np.array(
-            [hamiltonian.coefficient(s) for s in strings], dtype=float
-        )
+        self.num_hamiltonians = len(coefficients)
+        structure = _structure_for(tuple(strings), num_qubits)
         self.real = structure.real
         self._axpy = blas.daxpy if self.real else blas.zaxpy
-
-        self._diagonal: Optional[np.ndarray] = None
-        if structure.diagonal:
-            diagonal = np.zeros(self.dim, dtype=float)
-            for slot, sign in structure.diagonal:
-                if sign is None:
-                    diagonal += coefficients[slot]
-                else:
-                    diagonal += coefficients[slot] * sign
-            self._diagonal = diagonal
-
+        self._diagonal = structure.diagonal_rows(coefficients)
         # A real kernel has only even Y counts, so every ``gamma0`` is ±1.
         self._lead: List[
-            Tuple[Tuple[slice, ...], complex, Optional[np.ndarray]]
+            Tuple[Tuple[slice, ...], Tuple[complex, ...], Optional[np.ndarray]]
         ] = [
-            (slices, gamma0 * coefficients[slot], sign)
+            (slices, tuple((gamma0 * coefficients[:, slot]).tolist()), sign)
             for slot, slices, gamma0, sign in structure.lead
         ]
         self._tail: Optional[np.ndarray] = None
         if structure.tail_basis is not None:
             self._tail = np.tensordot(
-                coefficients[structure.tail_slots],
+                coefficients[:, structure.tail_slots],
                 structure.tail_basis,
                 axes=1,
             )
         offdiag_slots = [slot for slot, _, _, _ in structure.lead]
         offdiag_slots.extend(structure.tail_slots.tolist())
-        self._offdiag_l1 = float(np.abs(coefficients[offdiag_slots]).sum())
+        self._offdiag_l1 = np.abs(coefficients[:, offdiag_slots]).sum(axis=1)
 
     # ------------------------------------------------------------------
     @property
@@ -422,7 +504,18 @@ class HamiltonianKernel:
                 f"state has leading dimension {states.shape[0]}, kernel "
                 f"expects 2^{self.num_qubits}"
             )
+        h = self.num_hamiltonians
+        if h > 1 and states.shape[1:] != (h,):
+            raise SimulationError(
+                f"a kernel of {h} Hamiltonians needs a "
+                f"(2^{self.num_qubits}, {h}) block, got shape {states.shape}"
+            )
         return states
+
+    def _grouped(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` as ``(groups, h, 2^N)``: row ``r`` meets Hamiltonian
+        ``r mod h``, so per-Hamiltonian ``(h, 2^N)`` arrays broadcast."""
+        return rows.reshape(-1, self.num_hamiltonians, self.dim)
 
     def _to_rows(self, states: np.ndarray) -> Tuple[np.ndarray, bool]:
         """A fresh ``(rows, 2^N)`` row block of ``states``.
@@ -481,43 +574,58 @@ class HamiltonianKernel:
         scratch: np.ndarray,
         scale: float = 1.0,
     ) -> None:
-        """``out += scale · H_offdiag @ rows`` on ``(r, 2^N)`` row blocks.
+        """``out += scale · H_offdiag @ rows`` on row blocks.
 
-        The tail is one GEMM on the ``(r·2^{N−m}, 2^m)`` reshape plus an
-        axpy; each lead term is one strided view-copy, an optional
-        in-place sign multiply and an axpy.  ``scratch`` is overwritten.
+        ``rows``, ``out`` and ``scratch`` are C-contiguous blocks of
+        ``r`` rows of length ``2^N`` (2-D, or grouped by
+        :meth:`_grouped`).
+
+        The tail is one stacked GEMM on the ``(groups, h, 2^{N−m}, 2^m)``
+        reshape (a single Hamiltonian folds every row into one matrix)
+        plus an axpy; each lead term is one strided view-copy, an
+        optional in-place sign multiply and an axpy per row (one axpy
+        over the whole block for a single Hamiltonian).  ``scratch`` is
+        overwritten.
         """
         flat_out = out.reshape(-1)
         flat_scratch = scratch.reshape(-1)
         if self._tail is not None:
-            width = self._tail.shape[0]
-            source = rows.reshape(-1, width)
-            target = scratch.reshape(-1, width)
+            width = self._tail.shape[-1]
+            h = self.num_hamiltonians
+            groups = 1 if h == 1 else rows.size // self.dim // h
+            source = rows.reshape(groups, h, -1, width)
+            target = scratch.reshape(source.shape)
             step = _GEMM_MULTIPLY_ADDS // (width * width)
-            for start in range(0, source.shape[0], step):
+            for start in range(0, source.shape[2], step):
+                chunk = slice(start, start + step)
                 np.matmul(
-                    source[start : start + step],
-                    self._tail,
-                    out=target[start : start + step],
+                    source[:, :, chunk], self._tail, out=target[:, :, chunk]
                 )
             self._axpy(flat_scratch, flat_out, a=scale)
         if not self._lead:
             return
-        shape = (rows.shape[0],) + (2,) * self.num_qubits
+        shape = (-1,) + (2,) * self.num_qubits
         source = rows.reshape(shape)
         target = scratch.reshape(shape)
-        for slices, coefficient, sign in self._lead:
+        pieces = 1 if self.num_hamiltonians == 1 else rows.size // self.dim
+        scratch_rows = scratch.reshape(pieces, -1)
+        out_rows = out.reshape(pieces, -1)
+        repeats = pieces // self.num_hamiltonians
+        for slices, coefficients, sign in self._lead:
             np.copyto(target, source[slices])
             if sign is not None:
                 np.multiply(scratch, sign, out=scratch)
-            self._axpy(flat_scratch, flat_out, a=scale * coefficient)
+            for row, coefficient in enumerate(coefficients * repeats):
+                self._axpy(
+                    scratch_rows[row], out_rows[row], a=scale * coefficient
+                )
 
     def apply(self, states: np.ndarray) -> np.ndarray:
         """``H @ states`` for a ``(2^N,)`` vector or ``(2^N, k)`` block."""
         states = self._coerce(states)
         rows, split = self._to_rows(states)
         if self._diagonal is not None:
-            out = rows * self._diagonal
+            out = (self._grouped(rows) * self._diagonal).reshape(rows.shape)
         else:
             out = np.zeros_like(rows)
         if not self.is_diagonal:
@@ -543,7 +651,7 @@ class HamiltonianKernel:
         )
 
     def spectral_bounds(self) -> Tuple[float, float]:
-        """Rigorous eigenvalue bounds ``[lo, hi]``.
+        """Rigorous eigenvalue bounds ``[lo, hi]``, over all ``h`` rows.
 
         The diagonal part is known exactly; the off-diagonal part is a
         sum of unit-norm Pauli strings, so its 2-norm is at most the ℓ1
@@ -551,11 +659,14 @@ class HamiltonianKernel:
         propagators to bound step sizes.
         """
         if self._diagonal is not None:
-            lo = float(self._diagonal.min())
-            hi = float(self._diagonal.max())
+            lo = self._diagonal.min(axis=1)
+            hi = self._diagonal.max(axis=1)
         else:
-            lo = hi = 0.0
-        return lo - self._offdiag_l1, hi + self._offdiag_l1
+            lo = hi = np.zeros(self.num_hamiltonians)
+        return (
+            float((lo - self._offdiag_l1).min()),
+            float((hi + self._offdiag_l1).max()),
+        )
 
 
 def hamiltonian_kernel(
@@ -805,7 +916,9 @@ def chebyshev_expm_multiply(
     for even ``k`` and imaginary for odd ``k``, so the terms feed two
     accumulators with real weights and the result is
     ``e^{−i·shift·t}(even + i·odd)`` — for a real ``H`` the whole
-    recurrence stays in float64.
+    recurrence stays in float64.  A kernel of ``h`` Hamiltonians
+    (:meth:`HamiltonianKernel.from_rows`) runs one recurrence inside the
+    union of their spectral bounds, each column under its own row.
     """
     if duration < 0:
         raise SimulationError(f"negative duration {duration}")
@@ -823,14 +936,15 @@ def chebyshev_expm_multiply(
     # T_{k+1} = 2·H̃·T_k − T_{k−1} is written into the T_{k−1} buffer:
     # one multiply and one subtract for the diagonal, then the
     # off-diagonal routine at scale 2/radius.  Five row blocks in all,
-    # independent of the step count.
+    # independent of the step count, plus the per-Hamiltonian diagonals.
     if kernel._diagonal is not None:
         scaled_diagonal = (kernel._diagonal - shift) * inv_radius
     else:
-        scaled_diagonal = np.full(kernel.dim, -shift * inv_radius)
+        scaled_diagonal = np.full((1, kernel.dim), -shift * inv_radius)
     twice_diagonal = 2.0 * scaled_diagonal
 
-    previous, split = kernel._to_rows(states)
+    rows, split = kernel._to_rows(states)
+    previous = kernel._grouped(rows)
     scratch = np.empty_like(previous)
     current = previous * scaled_diagonal
     kernel._offdiag_into(previous, current, scratch, scale=inv_radius)
@@ -846,7 +960,9 @@ def chebyshev_expm_multiply(
         coefficient = coefficients[order]
         weight = coefficient.imag if order & 1 else coefficient.real
         axpy(current.reshape(-1), accumulators[order & 1], a=weight)
-    out = kernel._from_rows(states.shape, split, even, odd)
+    out = kernel._from_rows(
+        states.shape, split, even.reshape(rows.shape), odd.reshape(rows.shape)
+    )
     out *= np.exp(-1j * shift * duration)
     return out
 
@@ -869,22 +985,25 @@ def expm_multiply_matrix_free(
     point of the evolution engine.
     """
     kernel = hamiltonian_kernel(hamiltonian, num_qubits, cache=cache)
-    states = np.asarray(states, dtype=complex)
-    if states.shape[0] != kernel.dim:
-        raise SimulationError(
-            f"state has leading dimension {states.shape[0]}, expected "
-            f"2^{num_qubits}"
-        )
-    if kernel.is_diagonal:
-        # Degenerate case: the whole Hamiltonian is a phase multiply.
-        diagonal = (
-            kernel._diagonal
-            if kernel._diagonal is not None
-            else np.zeros(kernel.dim)
-        )
-        phase = np.exp(-1j * duration * diagonal)
-        return states * (phase if states.ndim == 1 else phase[:, None])
-    return chebyshev_expm_multiply(kernel, states, duration, tol=tol)
+    return kernel_expm_multiply(kernel, states, duration, tol=tol)
+
+
+def kernel_expm_multiply(
+    kernel: HamiltonianKernel,
+    states: np.ndarray,
+    duration: float,
+    tol: float = DEFAULT_LANCZOS_TOL,
+) -> np.ndarray:
+    """``exp(−i H t) @ states`` for a built kernel: all-Z kernels
+    collapse to a phase multiply, every other one takes the Chebyshev
+    recurrence."""
+    if not kernel.is_diagonal:
+        return chebyshev_expm_multiply(kernel, states, duration, tol=tol)
+    states = kernel._coerce(states)
+    if kernel._diagonal is None:
+        return states.copy()
+    phase = np.exp(-1j * duration * kernel._diagonal)  # (h, 2^N)
+    return states * (phase[0] if states.ndim == 1 else phase.T)
 
 
 # ----------------------------------------------------------------------

@@ -14,12 +14,17 @@ real-device claim that *shorter compiled pulses suffer less noise*:
 * **SPAM** — asymmetric readout bit flips (Rydberg-state detection is
   worse than ground-state detection on real hardware).
 
-The Monte-Carlo executor is vectorized: all noise realizations are
-drawn up front with array-shaped RNG calls, evolved together as a
-``(2^N, k)`` state block via :func:`repro.sim.evolution
-.evolve_schedule_block` (one solver call per *distinct* Hamiltonian per
-segment instead of one per realization), and corrupted with a single
-batched relaxation/readout pass over the stacked shot array.
+The Monte-Carlo executor is vectorized end to end.  All noise
+realizations are drawn up front with array-shaped RNG calls, as one
+``(k,)`` array per perturbed variable and segment.  They evolve together
+as a ``(2^N, k)`` state block via :func:`repro.sim.evolution
+.evolve_realizations`: per segment, :meth:`repro.aais.base.AAIS
+.coefficients` turns the arrays into one ``(k, S)`` coefficient matrix
+and the whole block takes one solver call on it (one phase multiply,
+one batched ``expm`` or one multi-row Chebyshev recurrence), although
+position jitter makes every realization's Hamiltonian distinct.  The
+shots are then corrupted with a single batched relaxation/readout pass
+over the stacked shot array.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.pulse.schedule import PulseSchedule
 from repro.testing.faults import fault_point
-from repro.sim.evolution import evolve_schedule_block, ground_state
+from repro.sim.evolution import evolve_realizations, ground_state
 from repro.sim.sampling import (
     apply_readout_error,
     sample_bitstrings,
@@ -142,13 +147,13 @@ class NoisySimulator:
         schedule: PulseSchedule,
         rng: np.random.Generator,
         count: int,
-    ) -> List[List[Dict[str, float]]]:
+    ) -> List[Dict[str, np.ndarray]]:
         """``count`` quasi-static realizations, drawn with array calls.
 
-        Returns one per-segment override list per realization.  Every
-        noise knob is drawn as a length-``count`` vector (one RNG call
-        per channel instead of one per realization), then scattered into
-        the per-realization override dictionaries.
+        Every noise knob is drawn as a length-``count`` vector (one RNG
+        call per channel instead of one per realization).  Returns, per
+        segment, the perturbed variables as ``(count,)`` arrays, the
+        input of :func:`repro.sim.evolution.evolve_realizations`.
         """
         noise = self.noise
         rabi_scales = 1.0 + rng.normal(0.0, noise.rabi_relative_sigma, count)
@@ -165,41 +170,35 @@ class NoisySimulator:
             0.0, noise.position_sigma, (count, len(position_names))
         )
 
-        batch: List[List[Dict[str, float]]] = []
-        for realization in range(count):
-            static = {
-                name: schedule.fixed_values[name]
-                + jitter[realization, position]
-                for position, name in enumerate(position_names)
-            }
-            overrides: List[Dict[str, float]] = []
-            for segment in schedule.segments:
-                entry = dict(static)
-                for name, value in segment.dynamic_values.items():
-                    if name.startswith("omega"):
-                        entry[name] = value * rabi_scales[realization]
-                    elif name.startswith("delta"):
-                        entry[name] = value + detuning_shifts[realization]
-                    elif name.startswith("phi"):
-                        continue  # phase control is digital, essentially exact
-                    elif name.startswith("a_"):
-                        entry[name] = value * amp_scales[realization]
-                overrides.append(entry)
-            batch.append(overrides)
+        static = {
+            name: schedule.fixed_values[name] + jitter[:, position]
+            for position, name in enumerate(position_names)
+        }
+        batch: List[Dict[str, np.ndarray]] = []
+        for segment in schedule.segments:
+            entry = dict(static)
+            for name, value in segment.dynamic_values.items():
+                if name.startswith("omega"):
+                    entry[name] = value * rabi_scales
+                elif name.startswith("delta"):
+                    entry[name] = value + detuning_shifts
+                elif name.startswith("a_"):
+                    entry[name] = value * amp_scales
+                # phase control (phi) is digital, essentially exact
+            batch.append(entry)
         return batch
 
     def _evolve_realizations(
         self,
         schedule: PulseSchedule,
-        overrides: Sequence[Sequence[Dict[str, float]]],
+        overrides: Sequence[Dict[str, np.ndarray]],
+        count: int,
     ) -> np.ndarray:
         """Final states of all realizations as a ``(2^N, k)`` block."""
         initial = np.repeat(
-            ground_state(schedule.aais.num_sites)[:, None],
-            len(overrides),
-            axis=1,
+            ground_state(schedule.aais.num_sites)[:, None], count, axis=1
         )
-        return evolve_schedule_block(
+        return evolve_realizations(
             initial, schedule, overrides, backend=self.backend
         )
 
@@ -253,7 +252,7 @@ class NoisySimulator:
             per_group[extra] += 1
 
         overrides = self._draw_override_batch(schedule, rng, groups)
-        states = self._evolve_realizations(schedule, overrides)
+        states = self._evolve_realizations(schedule, overrides, groups)
         return self._sample_and_corrupt(
             states, per_group, schedule.total_duration, rng
         )

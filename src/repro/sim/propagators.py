@@ -36,6 +36,8 @@ from scipy.linalg import expm
 from repro.errors import SimulationError
 from repro.hamiltonian.expression import Hamiltonian
 from repro.sim.kernels import (
+    TAIL_QUBITS,
+    _structure_for,
     clear_kernel_caches,
     configure_kernel_caches,
     kernel_cache_stats,
@@ -50,7 +52,8 @@ __all__ = [
     "is_diagonal_hamiltonian",
     "diagonal_vector",
     "dense_hamiltonian",
-    "dense_hamiltonian_stack",
+    "dense_stack",
+    "coefficient_rows",
     "propagator",
     "batched_propagators",
     "cached_propagator",
@@ -155,17 +158,28 @@ def memory_budget_bytes() -> int:
     return _limits["memory_budget_bytes"]
 
 
-def matrix_free_block_columns(num_qubits: int) -> int:
+def matrix_free_block_columns(
+    num_qubits: int, hamiltonian_per_column: bool = False
+) -> int:
     """Widest column chunk the matrix-free propagators get at once.
 
-    The Chebyshev recurrence keeps ~5 block-sized work buffers (plus the
-    input and output), so wide blocks are propagated in column chunks
-    sized to keep that working set inside the memory budget too — the
-    budget governs the whole evolution working set, not just operator
-    materialization.
+    Each column costs about eight block-sized complex buffers: the
+    input, the output and the Chebyshev recurrence's five row blocks
+    plus a transpose.  Each Hamiltonian of the kernel adds its per-row
+    diagonal, the scaled and the doubled diagonal (float64 each) and its
+    ``2^m × 2^m`` tail matrix.  A shared Hamiltonian pays that once per
+    chunk; with ``hamiltonian_per_column`` (noise realizations, one
+    coefficient row per column) every column pays it.  Wide blocks are
+    propagated in chunks sized to keep the whole working set inside the
+    memory budget.
     """
-    block_bytes = 8 * (1 << num_qubits) * 16
-    return int(max(1, _limits["memory_budget_bytes"] // block_bytes))
+    dim = 1 << num_qubits
+    column = 8 * dim * 16
+    hamiltonian = 3 * dim * 8 + 16 * 4 ** min(TAIL_QUBITS, num_qubits)
+    budget = _limits["memory_budget_bytes"]
+    if hamiltonian_per_column:
+        return int(max(1, budget // (column + hamiltonian)))
+    return int(max(1, (budget - hamiltonian) // column))
 
 
 def select_backend(hamiltonian: Hamiltonian, num_qubits: int) -> str:
@@ -212,23 +226,6 @@ def is_diagonal_hamiltonian(hamiltonian: Hamiltonian) -> bool:
     )
 
 
-def _string_diagonal(
-    ops: Tuple[Tuple[int, str], ...], num_qubits: int
-) -> np.ndarray:
-    """Diagonal of a Z-only Pauli string (qubit 0 = most significant bit)."""
-    key = ("zdiag", ops, num_qubits)
-    cached = _diagonal_cache.get(key)
-    if cached is not None:
-        return cached
-    index = np.arange(2**num_qubits)
-    diagonal = np.ones(2**num_qubits, dtype=float)
-    for qubit, _ in ops:
-        bits = (index >> (num_qubits - 1 - qubit)) & 1
-        diagonal *= 1.0 - 2.0 * bits
-    _diagonal_cache.put(key, diagonal)
-    return diagonal
-
-
 def diagonal_vector(
     hamiltonian: Hamiltonian, num_qubits: int, cache: bool = True
 ) -> np.ndarray:
@@ -236,8 +233,9 @@ def diagonal_vector(
 
     The caller must have checked :func:`is_diagonal_hamiltonian`.  With
     ``cache=True`` the assembled vector is memoized on the Hamiltonian's
-    canonical key; per-string diagonals are always memoized (they recur
-    across noise realizations that only perturb coefficients).
+    canonical key.  The sum over strings is one product with the sign
+    factors of the support's cached kernel structure, which recur across
+    noise realizations that only perturb coefficients.
     """
     key = (hamiltonian.canonical_key(), num_qubits)
     if cache:
@@ -245,9 +243,15 @@ def diagonal_vector(
         if cached is not None:
             return cached
     _check_support(hamiltonian, num_qubits)
-    diagonal = np.zeros(2**num_qubits, dtype=float)
-    for string, coeff in hamiltonian.terms.items():
-        diagonal += coeff * _string_diagonal(string.canonical_key, num_qubits)
+    strings = hamiltonian.pauli_strings()
+    coefficients = np.array([[hamiltonian.coefficient(s) for s in strings]])
+    structure = _structure_for(
+        tuple(s.canonical_key for s in strings), num_qubits
+    )
+    diagonal = structure.diagonal_rows(coefficients)
+    diagonal = (
+        np.zeros(2**num_qubits) if diagonal is None else diagonal[0]
+    )
     if cache:
         _diagonal_cache.put(key, diagonal)
     return diagonal
@@ -278,38 +282,50 @@ def _string_dense_flat(
     return flat
 
 
-def dense_hamiltonian_stack(
+def coefficient_rows(
     hamiltonians: Sequence[Hamiltonian], num_qubits: int
-) -> np.ndarray:
-    """Dense matrices of many Hamiltonians in one BLAS call.
-
-    Noise realizations of one schedule segment share a Pauli support and
-    differ only in coefficients, so the whole batch is a coefficient
-    matrix times a stack of flattened (cached) string matrices:
-    ``(k, S) @ (S, d²) → (k, d, d)``.
-    """
-    _check_size(num_qubits)
-    dim = 2**num_qubits
+) -> Tuple[Tuple[Tuple[Tuple[int, str], ...], ...], np.ndarray]:
+    """The union support of ``hamiltonians`` and their ``(k, S)``
+    coefficient matrix over it (canonical keys, first-seen order)."""
     strings: Dict[Tuple, int] = {}
     for hamiltonian in hamiltonians:
         _check_support(hamiltonian, num_qubits)
         for string in hamiltonian.pauli_strings():
             strings.setdefault(string.canonical_key, len(strings))
-    if not strings:
-        return np.zeros((len(hamiltonians), dim, dim), dtype=complex)
     coefficients = np.zeros((len(hamiltonians), len(strings)))
     for row, hamiltonian in enumerate(hamiltonians):
         for string, coeff in hamiltonian.terms.items():
             coefficients[row, strings[string.canonical_key]] = coeff
+    return tuple(strings), coefficients
+
+
+def dense_stack(
+    strings: Sequence[Tuple[Tuple[int, str], ...]],
+    coefficients: np.ndarray,
+    num_qubits: int,
+) -> np.ndarray:
+    """Dense matrices of ``k`` coefficient rows in one BLAS call.
+
+    Noise realizations of one schedule segment share a Pauli support and
+    differ only in coefficients, so the whole batch is the coefficient
+    matrix times a stack of flattened (cached) string matrices:
+    ``(k, S) @ (S, d²) → (k, d, d)``.
+    """
+    _check_size(num_qubits)
+    dim = 2**num_qubits
+    if not len(strings):
+        return np.zeros((len(coefficients), dim, dim), dtype=complex)
     basis = np.stack(
         [_string_dense_flat(ops, num_qubits) for ops in strings]
     )
-    return (coefficients @ basis).reshape(len(hamiltonians), dim, dim)
+    return (coefficients @ basis).reshape(len(coefficients), dim, dim)
 
 
 def dense_hamiltonian(hamiltonian: Hamiltonian, num_qubits: int) -> np.ndarray:
     """Dense matrix of one Hamiltonian via the shared string stack."""
-    return dense_hamiltonian_stack([hamiltonian], num_qubits)[0]
+    return dense_stack(
+        *coefficient_rows([hamiltonian], num_qubits), num_qubits
+    )[0]
 
 
 # ----------------------------------------------------------------------
@@ -373,17 +389,19 @@ def propagator(
 
 
 def batched_propagators(
-    hamiltonians: Sequence[Hamiltonian],
+    strings: Sequence[Tuple[Tuple[int, str], ...]],
+    coefficients: np.ndarray,
     durations: Sequence[float],
     num_qubits: int,
-) -> List[np.ndarray]:
-    """Dense unitaries of many (H, t) pairs via one batched ``expm``."""
-    stack = dense_hamiltonian_stack(hamiltonians, num_qubits)
+) -> np.ndarray:
+    """Dense unitaries of ``k`` coefficient rows and durations via one
+    batched ``expm``; ``(k, 2^N, 2^N)``."""
+    stack = dense_stack(strings, coefficients, num_qubits)
     scales = -1j * np.asarray(durations, dtype=float)
     stack = stack * scales[:, None, None]
-    if len(hamiltonians) == 1:
-        return [expm(stack[0])]
-    return list(expm(stack))
+    if len(stack) == 1:
+        return expm(stack[0])[None]
+    return expm(stack)
 
 
 # ----------------------------------------------------------------------

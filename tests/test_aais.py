@@ -209,3 +209,103 @@ class TestAAISValidation:
 
     def test_repr_mentions_counts(self):
         assert "channels" in repr(HeisenbergAAIS(2))
+
+
+def _random_assignments(aais, rng, k):
+    """``k`` random in-bounds assignments as per-variable ``(k,)`` arrays;
+    atom coordinates are spread over the trap so no two coincide."""
+    values = {}
+    for name, variable in aais.variables.items():
+        lower = max(variable.lower, -10.0)
+        upper = min(variable.upper, 10.0)
+        if name.startswith(("x_", "y_")):
+            lower, upper = variable.lower, variable.upper
+        values[name] = rng.uniform(lower, upper, k)
+    return values
+
+
+def _scalar_channel_sum(aais, values):
+    """Per-string sum of every channel's scalar contribution, together
+    with the sum of the contributions' magnitudes."""
+    total, magnitude = {}, {}
+    for channel in aais.channels:
+        for string, coeff in channel.contribution(values).items():
+            total[string] = total.get(string, 0.0) + coeff
+            magnitude[string] = magnitude.get(string, 0.0) + abs(coeff)
+    return total, magnitude
+
+
+class TestCoefficientMatrix:
+    """``AAIS.coefficients`` against the scalar channel sum."""
+
+    @pytest.mark.parametrize(
+        "device", ["rydberg", "rydberg-1d", "aquila", "heisenberg"]
+    )
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_matches_scalar_channel_sum(self, device, n):
+        import numpy as np
+
+        from repro.aais import aais_for_device
+
+        rng = np.random.default_rng(n)
+        aais = aais_for_device(device, n)
+        k = 5
+        values = _random_assignments(aais, rng, k)
+        matrix = aais.coefficients(values)
+        strings = aais.term_strings
+        assert matrix.shape == (k, len(strings))
+        for column in range(k):
+            point = {name: float(v[column]) for name, v in values.items()}
+            total, magnitude = _scalar_channel_sum(aais, point)
+            assert set(total) == set(strings)
+            for slot, string in enumerate(strings):
+                expected = total[string]
+                if abs(expected) <= 1e-12:
+                    expected = 0.0
+                scale = max(magnitude[string], 1e-300)
+                assert abs(matrix[column, slot] - expected) <= 1e-14 * scale
+
+    def test_hamiltonian_is_the_single_column_case(self):
+        import numpy as np
+
+        aais = RydbergAAIS(4, spec=RydbergSpec(global_drive=True))
+        values = aais.default_positions()
+        values.update(delta=1.5, omega=0.8, phi=0.0)
+        hamiltonian = aais.hamiltonian(values)
+        row = aais.coefficients(values)[0]
+        # φ = 0 zeroes every Y term, which the Hamiltonian then omits.
+        assert all(
+            string.label_on(string.support[0]) != "Y"
+            for string in hamiltonian.pauli_strings()
+            if not string.is_identity
+        )
+        for slot, string in enumerate(aais.term_strings):
+            assert hamiltonian.coefficient(string) == row[slot]
+        scalars = dict(values)
+        arrays = {name: np.full(3, value) for name, value in values.items()}
+        assert np.array_equal(
+            aais.coefficients(arrays), np.repeat(row[None], 3, axis=0)
+        )
+        assert np.array_equal(aais.coefficients(scalars), row[None])
+
+    def test_missing_variable_and_coincident_atoms_rejected(self):
+        aais = RydbergAAIS(3)
+        values = aais.default_positions()
+        with pytest.raises(AAISError, match="missing value"):
+            aais.coefficients(values)
+        for variable in aais.dynamic_variables:
+            values[variable.name] = 0.5
+        values["x_1"] = values["x_0"]
+        with pytest.raises(AAISError, match="coincident"):
+            aais.coefficients(values)
+
+    def test_survives_pickling_after_use(self):
+        import pickle
+
+        import numpy as np
+
+        aais = HeisenbergAAIS(3)
+        values = {name: 0.25 for name in aais.variables}
+        before = aais.coefficients(values)
+        clone = pickle.loads(pickle.dumps(aais))
+        assert np.array_equal(clone.coefficients(values), before)

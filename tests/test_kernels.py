@@ -34,6 +34,7 @@ from repro.sim.kernels import (
     HamiltonianKernel,
     _chebyshev_coefficients,
     chebyshev_expm_multiply,
+    kernel_expm_multiply,
 )
 from repro.sim.operators import (
     clear_operator_cache,
@@ -264,9 +265,36 @@ KERNEL_CASES = [
 ]
 
 
+def kernel_rows(case: str, n: int, h: int, rng: np.random.Generator):
+    """``h`` Hamiltonians on one support (a zero entry in the last row)."""
+    hams = [kernel_case(case, n, rng) for _ in range(h)]
+    strings = hams[0].pauli_strings()
+    coefficients = np.array([[ham.coefficient(s) for s in strings] for ham in hams])
+    coefficients[-1, len(strings) // 2] = 0.0
+    rows = [
+        Hamiltonian({s: c for s, c in zip(strings, row) if c})
+        for row in coefficients
+    ]
+    keys = tuple(s.canonical_key for s in strings)
+    return HamiltonianKernel.from_rows(keys, coefficients, n), rows
+
+
+ROW_CASES = [
+    ("real", 12, "real"),
+    ("real", 10, "complex"),  # Re/Im rows against per-Hamiltonian rows
+    ("complex", 9, "complex"),
+    ("straddle", 9, "complex"),  # lead and tail terms, complex tail
+    ("straddle", 6, "real"),
+    ("all_z", 7, "complex"),
+    ("real", 3, "complex"),
+    ("real", 15, "complex"),  # 2^(N-m) = 1024 rows: the tail GEMM chunks
+]
+
+
 class TestRowKernelEquivalence:
     """The GEMM tail, lead view-copies and real-row recurrence against
-    the per-term loop and against ``exact_evolve``, to ≤1e-12."""
+    the per-term loop and against ``exact_evolve``, to ≤1e-12; kernels
+    of h > 1 coefficient rows against h single kernels."""
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("case,n,state_kind", KERNEL_CASES)
@@ -309,8 +337,52 @@ class TestRowKernelEquivalence:
         m = min(TAIL_QUBITS, n)
         kernel = HamiltonianKernel(kernel_case("straddle", n, np.random.default_rng(4)), n)
         assert len(kernel._lead) == 1  # the straddling XX
-        assert kernel._tail.shape == (2**m, 2**m)
+        assert kernel._tail.shape == (1, 2**m, 2**m)  # one Hamiltonian row
 
+
+    # h > 1: a kernel of h coefficient rows against h single kernels.
+    @pytest.mark.parametrize("case,n,state_kind", ROW_CASES)
+    def test_apply_matches_single_kernels(self, case, n, state_kind):
+        rng = np.random.default_rng(n * 7)
+        h = 3
+        kernel, hams = kernel_rows(case, n, h, rng)
+        block = kernel_state(state_kind, n, h, rng)
+        got = kernel.apply(block)
+        for col, ham in enumerate(hams):
+            single = HamiltonianKernel(ham, n).apply(block[:, col])
+            assert np.abs(got[:, col] - single).max() <= 1e-12
+            reference = per_term_apply(ham, block[:, col : col + 1], n)[:, 0]
+            assert np.abs(got[:, col] - reference).max() <= 1e-12
+
+    @pytest.mark.parametrize("case,n,state_kind", ROW_CASES)
+    def test_chebyshev_matches_single_kernels(self, case, n, state_kind):
+        rng = np.random.default_rng(n * 7 + 1)
+        h = 3
+        kernel, hams = kernel_rows(case, n, h, rng)
+        block = kernel_state(state_kind, n, h, rng)
+        duration = 0.2 if n > 12 else 0.7
+        got = kernel_expm_multiply(kernel, block, duration, tol=1e-14)
+        for col, ham in enumerate(hams):
+            single = kernel_expm_multiply(
+                HamiltonianKernel(ham, n), block[:, col], duration, tol=1e-14
+            )
+            assert np.abs(got[:, col] - single).max() <= 1e-12
+
+    def test_bounds_are_the_union_of_the_rows(self):
+        rng = np.random.default_rng(5)
+        kernel, hams = kernel_rows("complex", 6, 4, rng)
+        bounds = [HamiltonianKernel(h, 6).spectral_bounds() for h in hams]
+        assert kernel.spectral_bounds() == (
+            min(lo for lo, _ in bounds),
+            max(hi for _, hi in bounds),
+        )
+
+    def test_block_width_must_match_the_rows(self):
+        kernel, _ = kernel_rows("real", 4, 3, np.random.default_rng(6))
+        with pytest.raises(SimulationError):
+            kernel.apply(np.ones((16, 2), dtype=complex))
+        with pytest.raises(SimulationError):
+            kernel.apply(np.ones(16, dtype=complex))
 
 class TestMatrixFreePropagators:
     @pytest.mark.parametrize("seed", range(10))
@@ -437,7 +509,12 @@ class TestBackendSelection:
         h = random_hamiltonian(rng, n)
         block = random_block(rng, n, k)
         reference = exact_evolve(block, h, 0.6, n)
-        configure_simulation_caches(memory_budget_bytes=2 * 8 * 2**n * 16)
+        # The shared Hamiltonian's three diagonals and 2^m×2^m tail
+        # matrix, then two columns of eight complex block buffers.
+        hamiltonian = 3 * 8 * 2**n + 16 * 4 ** min(TAIL_QUBITS, n)
+        configure_simulation_caches(
+            memory_budget_bytes=hamiltonian + 2 * 8 * 2**n * 16
+        )
         assert matrix_free_block_columns(n) == 2  # 3 chunks for k=6
         out = evolve(block, h, 0.6, n, backend="matrix_free")
         assert np.allclose(out, reference, atol=ATOL)
@@ -605,3 +682,4 @@ class TestBenchReportSchema:
                 assert field in payload, f"{report.name} missing {field}"
             assert isinstance(payload["runs"], list)
             assert payload["runs"]
+

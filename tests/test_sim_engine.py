@@ -451,3 +451,257 @@ class TestCLI:
             )
         assert exit_info.value.code == 2
         assert "--backend" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Noise realizations as one batch
+# ----------------------------------------------------------------------
+def realization_schedule(aais, rng, fixed, omega=1.2, phi=0.0, segments=3):
+    """A three-segment schedule with random detunings/amplitudes."""
+    from repro.pulse.schedule import PulseSchedule, PulseSegment
+
+    pulses = []
+    for _ in range(segments):
+        values = {}
+        for variable in aais.dynamic_variables:
+            name = variable.name
+            if name.startswith("omega"):
+                values[name] = omega * float(rng.uniform(0.5, 1.0))
+            elif name.startswith("phi"):
+                values[name] = phi
+            else:  # detunings and Heisenberg amplitudes
+                values[name] = float(rng.uniform(-1.5, 1.5))
+        pulses.append(
+            PulseSegment(
+                duration=float(rng.uniform(0.1, 0.3)), dynamic_values=values
+            )
+        )
+    return PulseSchedule(aais, fixed, pulses)
+
+
+def chain_schedule(n, rng, **kwargs):
+    from repro.aais import aais_for_device
+
+    aais = aais_for_device("rydberg-1d", n)
+    return realization_schedule(
+        aais, rng, aais.default_positions(spacing=6.0), **kwargs
+    )
+
+
+def draw_realizations(schedule, k, seed, **noise):
+    """Per-segment ``(k,)`` override arrays from the noise model."""
+    from repro.sim import aquila_noise
+
+    simulator = NoisySimulator(noise=aquila_noise(**noise))
+    return simulator._draw_override_batch(
+        schedule, np.random.default_rng(seed), k
+    )
+
+
+def per_column(arrays, k):
+    """The same realizations as per-column lists of override dicts."""
+    return [
+        [{name: float(v[col]) for name, v in entry.items()} for entry in arrays]
+        for col in range(k)
+    ]
+
+
+def assert_batch_matches_columns(schedule, arrays, block, backend="auto"):
+    """Batched evolution == per-column ``evolve_schedule`` to 1e-10;
+    the list-of-dicts front end gives the very same block."""
+    from repro.sim.evolution import evolve_realizations
+
+    k = block.shape[1]
+    batched = evolve_realizations(block, schedule, arrays, backend=backend)
+    columns = per_column(arrays, k)
+    listed = evolve_schedule_block(block, schedule, columns, backend=backend)
+    assert np.array_equal(listed, batched)
+    for col in range(k):
+        single = evolve_schedule(
+            block[:, col], schedule, value_overrides=columns[col],
+            backend=backend,
+        )
+        assert np.abs(batched[:, col] - single).max() <= 1e-10
+    return batched
+
+
+def ground_block(n, k):
+    block = np.zeros((2**n, k), dtype=complex)
+    block[0] = 1.0
+    return block
+
+
+class TestBatchedRealizations:
+    @pytest.mark.parametrize("n", [6, 8, 10, 12])
+    def test_rydberg_chain_matches_per_column(self, n):
+        rng = np.random.default_rng(n)
+        schedule = chain_schedule(n, rng)
+        k = 5
+        arrays = draw_realizations(schedule, k, seed=n)
+        from repro.sim.evolution import evolve_realizations
+
+        evolve_realizations(ground_block(n, k), schedule, arrays)
+        paths = simulation_cache_stats()["fast_paths"]
+        expected = "dense_build" if n <= 7 else "matrix_free"
+        assert paths[expected] == k * schedule.num_segments
+        assert_batch_matches_columns(schedule, arrays, ground_block(n, k))
+
+    def test_detuning_only_segments_stay_diagonal(self):
+        n, k = 8, 4
+        from repro.sim.evolution import evolve_realizations
+
+        schedule = chain_schedule(n, np.random.default_rng(1), omega=0.0)
+        arrays = draw_realizations(schedule, k, seed=1)
+        # |0…0⟩ is a zero-energy eigenstate of every detuning-only
+        # realization, so a random block is the informative input.
+        block = random_block(np.random.default_rng(1), n, k)
+        evolve_realizations(block, schedule, arrays)
+        paths = simulation_cache_stats()["fast_paths"]
+        assert paths["diagonal"] == k * schedule.num_segments
+        assert paths["matrix_free"] == 0
+        assert_batch_matches_columns(schedule, arrays, block)
+
+    def test_nonzero_phase_runs_a_complex_kernel(self):
+        from repro.sim.kernels import _structure_for
+
+        n, k = 8, 4
+        schedule = chain_schedule(n, np.random.default_rng(2), phi=0.7)
+        strings = schedule.hamiltonian_at_segment(0).pauli_strings()
+        structure = _structure_for(
+            tuple(s.canonical_key for s in strings), n
+        )
+        assert not structure.real
+        arrays = draw_realizations(schedule, k, seed=2)
+        assert_batch_matches_columns(schedule, arrays, ground_block(n, k))
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_2d_rydberg_with_xy_jitter(self, n):
+        from repro.aais import aais_for_device
+
+        aais = aais_for_device("rydberg", n)
+        fixed = {}
+        for site in range(n):
+            fixed[f"x_{site}"] = 10.0 + 6.0 * (site % 4)
+            fixed[f"y_{site}"] = 10.0 + 6.0 * (site // 4)
+        schedule = realization_schedule(aais, np.random.default_rng(n), fixed)
+        k = 4
+        arrays = draw_realizations(schedule, k, seed=n)
+        assert {f"y_{site}" for site in range(n)} <= set(arrays[0])
+        assert_batch_matches_columns(schedule, arrays, ground_block(n, k))
+
+    def test_heisenberg_amplitude_scaling(self):
+        from repro.aais import HeisenbergAAIS
+
+        n, k = 8, 4
+        aais = HeisenbergAAIS(n)
+        schedule = realization_schedule(aais, np.random.default_rng(3), {})
+        arrays = draw_realizations(
+            schedule, k, seed=3, amplitude_relative_sigma=0.1
+        )
+        assert any(name.startswith("a_") for name in arrays[0])
+        assert_batch_matches_columns(schedule, arrays, ground_block(n, k))
+
+    def test_drive_off_in_some_columns_only(self):
+        n, k = 8, 6
+        schedule = chain_schedule(n, np.random.default_rng(4))
+        arrays = draw_realizations(schedule, k, seed=4)
+        for entry in arrays:
+            for name in entry:
+                if name.startswith("omega"):
+                    entry[name] = entry[name] * (np.arange(k) % 2)
+        assert_batch_matches_columns(schedule, arrays, ground_block(n, k))
+
+    def test_complex_input_block_splits_rows(self):
+        n, k = 10, 3
+        schedule = chain_schedule(n, np.random.default_rng(5))
+        arrays = draw_realizations(schedule, k, seed=5)
+        block = random_block(np.random.default_rng(5), n, k)
+        assert_batch_matches_columns(schedule, arrays, block)
+
+    def test_budget_chunks_match_unchunked_run(self):
+        """A budget of three columns' working set splits k = 7 into
+        chunks of 3, 3 and 1 without changing the result."""
+        from repro.sim.evolution import evolve_realizations
+        from repro.sim.kernels import TAIL_QUBITS
+        from repro.sim.propagators import matrix_free_block_columns
+
+        n, k = 9, 7
+        schedule = chain_schedule(n, np.random.default_rng(6))
+        arrays = draw_realizations(schedule, k, seed=6)
+        block = random_block(np.random.default_rng(6), n, k)
+        unchunked = evolve_realizations(block, schedule, arrays)
+        dim = 2**n
+        column = 8 * dim * 16 + 3 * dim * 8 + 16 * 4**TAIL_QUBITS
+        try:
+            configure_simulation_caches(memory_budget_bytes=3 * column)
+            assert matrix_free_block_columns(n, hamiltonian_per_column=True) == 3
+            chunked = evolve_realizations(block, schedule, arrays)
+        finally:
+            configure_simulation_caches(memory_budget_bytes=512 * 2**20)
+        assert np.abs(chunked - unchunked).max() <= 1e-10
+
+    def test_override_arrays_must_cover_every_segment(self):
+        from repro.sim.evolution import evolve_realizations
+
+        schedule = chain_schedule(4, np.random.default_rng(7))
+        with pytest.raises(SimulationError):
+            evolve_realizations(ground_block(4, 2), schedule, [{}])
+
+
+def legacy_override_draws(noise, schedule, rng, count):
+    """Per-realization override dicts, drawn with the RNG calls (and in
+    the order) the Monte-Carlo executor makes."""
+    rabi = 1.0 + rng.normal(0.0, noise.rabi_relative_sigma, count)
+    amp = 1.0 + rng.normal(0.0, noise.amplitude_relative_sigma, count)
+    shifts = rng.normal(0.0, noise.detuning_sigma, count)
+    names = [
+        name
+        for name in schedule.fixed_values
+        if name.startswith(("x_", "y_")) and noise.position_sigma > 0
+    ]
+    jitter = rng.normal(0.0, noise.position_sigma, (count, len(names)))
+    draws = []
+    for realization in range(count):
+        static = {
+            name: schedule.fixed_values[name] + jitter[realization, p]
+            for p, name in enumerate(names)
+        }
+        overrides = []
+        for segment in schedule.segments:
+            entry = dict(static)
+            for name, value in segment.dynamic_values.items():
+                if name.startswith("omega"):
+                    entry[name] = value * rabi[realization]
+                elif name.startswith("delta"):
+                    entry[name] = value + shifts[realization]
+                elif name.startswith("a_"):
+                    entry[name] = value * amp[realization]
+            overrides.append(entry)
+        draws.append(overrides)
+    return draws
+
+
+class TestNoisyRunRandomStream:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_samples_match_per_realization_reference(self, n, seed):
+        from repro.sim import ground_state
+
+        schedule = chain_schedule(n, np.random.default_rng(100 + n))
+        samples_per_group, groups = 40, 4
+        simulator = NoisySimulator(noise_samples=groups, seed=seed)
+        samples = simulator.run(schedule, shots=samples_per_group * groups)
+
+        rng = np.random.default_rng(seed)
+        draws = legacy_override_draws(simulator.noise, schedule, rng, groups)
+        states = np.stack(
+            [
+                evolve_schedule(ground_state(n), schedule, value_overrides=d)
+                for d in draws
+            ],
+            axis=1,
+        )
+        expected = simulator._sample_and_corrupt(
+            states, [samples_per_group] * groups, schedule.total_duration, rng
+        )
+        assert np.array_equal(samples, expected)
