@@ -33,7 +33,7 @@ from scipy.sparse.csgraph import connected_components
 
 from repro.aais.channels import Channel
 from repro.errors import CompilationError
-from repro.hamiltonian.pauli import PauliString
+from repro.hamiltonian.pauli import PauliString, pauli_order_key
 
 __all__ = ["BlockPlan", "GlobalLinearSystem", "LinearSolution"]
 
@@ -185,7 +185,7 @@ class GlobalLinearSystem:
         for term in self.extra_terms:
             if not term.is_identity:
                 rows.add(term)
-        self.terms: Tuple[PauliString, ...] = tuple(sorted(rows))
+        self.terms: Tuple[PauliString, ...] = tuple(sorted(rows, key=pauli_order_key))
         self._term_index = {t: k for k, t in enumerate(self.terms)}
         self.channel_names: Tuple[str, ...] = tuple(
             c.name for c in self.channels
@@ -248,7 +248,7 @@ class GlobalLinearSystem:
             for term, value in b_target.items()
             if not term.is_identity and abs(value) > 0 and term not in reachable
         ]
-        return tuple(sorted(missing))
+        return tuple(sorted(missing, key=pauli_order_key))
 
     # ------------------------------------------------------------------
     def solve(

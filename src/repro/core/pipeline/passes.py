@@ -47,7 +47,7 @@ from repro.core.refinement import refine_dynamic_alphas
 from repro.core.result import SegmentSolution
 from repro.core.time_optimizer import optimize_evolution_time
 from repro.errors import CompilationError, InfeasibleError
-from repro.hamiltonian.pauli import PauliString
+from repro.hamiltonian.pauli import PauliString, pauli_order_key
 from repro.pulse.schedule import PulseSchedule, PulseSegment, is_null_segment
 
 __all__ = [
@@ -190,9 +190,11 @@ def linear_system_key(unit: CompilationUnit) -> Tuple[PauliString, ...]:
     extra_terms: List[PauliString] = []
     for segment in unit.target.segments:
         extra_terms.extend(segment.hamiltonian.terms)
-    key = tuple(sorted({t for t in extra_terms if not t.is_identity}))
+    terms = {t for t in extra_terms if not t.is_identity}
+    key = tuple(sorted(terms, key=pauli_order_key))
     if unit.fusion_plan is not None:
-        key = tuple(sorted({unit.fusion_plan.map_term(t) for t in key}))
+        mapped = {unit.fusion_plan.map_term(t) for t in key}
+        key = tuple(sorted(mapped, key=pauli_order_key))
     return key
 
 
@@ -766,7 +768,7 @@ class TermFusionPass(CompilerPass):
         return FusionPlan(
             groups=groups,
             pruned_channels=tuple(sorted(pruned_names)),
-            pruned_terms=tuple(sorted(pruned_terms)),
+            pruned_terms=tuple(sorted(pruned_terms, key=pauli_order_key)),
         )
 
     # ------------------------------------------------------------------
@@ -812,7 +814,7 @@ class TermFusionPass(CompilerPass):
             rows.setdefault(term, {})
 
         by_signature: Dict[tuple, List[Tuple[PauliString, float]]] = {}
-        for term in sorted(rows):
+        for term in sorted(rows, key=pauli_order_key):
             entries = rows[term]
             if not entries:
                 continue  # unreachable targeted term: keep its zero row

@@ -10,8 +10,9 @@ whose columns evolve independently — one solver call pushes all columns
 at once.  Each segment dispatches to one of three **backends**
 (``backend: auto|dense|matrix_free``):
 
-* ``dense`` — the 2^N×2^N unitary is built (batched across noise
-  realizations) and memoized in the propagator cache; small registers.
+* ``dense`` — the 2^N×2^N unitary is built (batched across the
+  block's distinct Hamiltonians) and memoized in the propagator cache;
+  small registers.  Noise realizations take it only when forced.
 * ``matrix_free`` — bit-mask Pauli kernels plus a Chebyshev
   propagator (:mod:`repro.sim.kernels`); no operator is ever
   materialized, so it runs at any register size the state fits.
@@ -45,7 +46,6 @@ from repro.sim.propagators import (
     diagonal_vector,
     matrix_free_block_columns,
     propagator_build_max_qubits,
-    propagator_max_qubits,
     record_fast_path,
     select_backend,
     store_propagator,
@@ -463,12 +463,15 @@ def evolve_realizations(
     * all-Z segments (``auto``): one product of the support's cached
       sign factors gives the ``(k, 2^N)`` diagonals, then one phase
       multiply;
-    * ``dense`` (``auto`` up to the build threshold): one batched
-      ``expm`` of the ``k`` dense matrices, assembled in one BLAS call;
-    * otherwise ``matrix_free``: one Chebyshev recurrence over all
-      columns with a kernel of ``k`` coefficient rows, inside the union
-      of the rows' spectral bounds (column chunks if the memory budget
-      asks for them).
+    * otherwise ``matrix_free`` (``auto`` at every register size): one
+      Chebyshev recurrence over all columns with a kernel of ``k``
+      coefficient rows, inside the union of the rows' spectral bounds
+      (column chunks if the memory budget asks for them);
+    * ``dense`` only when forced: one batched ``expm`` of the ``k``
+      dense matrices, assembled in one BLAS call.  ``auto`` does not
+      take it: the ``expm`` of a one-shot Hamiltonian costs more than
+      the recurrence from N = 4 up, and about the same below.  It stays
+      as the differential reference of the tests.
 
     The support is the set of strings with a nonzero coefficient in
     any column; :meth:`AAIS.coefficients` has already zeroed entries at
@@ -528,11 +531,7 @@ def _evolve_rows(
         diagonal = structure.diagonal_rows(coefficients)
         return states * np.exp(-1j * duration * diagonal).T
     # Realizations never recur, so the propagator cache is not probed.
-    if backend == "dense" or (
-        backend == "auto"
-        and num_qubits
-        <= min(propagator_max_qubits(), propagator_build_max_qubits())
-    ):
+    if backend == "dense":
         record_fast_path("dense_build", k)
         unitaries = batched_propagators(
             strings, coefficients, [duration] * k, num_qubits

@@ -62,6 +62,7 @@ On top of the kernels, two Hermitian propagators replace
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -875,11 +876,16 @@ def _chebyshev_coefficients(
     """Coefficients ``(2−δ_{k0})(−i)^k J_k(span)`` truncated at ``tol``.
 
     The Bessel magnitudes decay superexponentially once ``k > span``;
-    the series is cut when the running tail drops below ``tol``.
+    the series is cut when the running tail drops below ``tol``.  The
+    cut sits about ``digits · span^{1/3}`` orders past ``span`` (the
+    width of the Bessel transition region times the decades to drop),
+    so the first length covers it for spans 0.1–200 at tolerances
+    1e-6–1e-16, and ``jv`` runs once.
     """
     from scipy.special import jv
 
-    length = int(span + 12 + 4.0 * max(span, 1.0) ** (1.0 / 3.0))
+    digits = max(-math.log10(tol), 1.0)
+    length = int(span + 6 + (digits + 1) * max(span, 1.0) ** (1.0 / 3.0))
     while True:
         orders = np.arange(length)
         bessel = jv(orders, span)

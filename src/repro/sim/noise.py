@@ -20,11 +20,12 @@ realizations are drawn up front with array-shaped RNG calls, as one
 as a ``(2^N, k)`` state block via :func:`repro.sim.evolution
 .evolve_realizations`: per segment, :meth:`repro.aais.base.AAIS
 .coefficients` turns the arrays into one ``(k, S)`` coefficient matrix
-and the whole block takes one solver call on it (one phase multiply,
-one batched ``expm`` or one multi-row Chebyshev recurrence), although
-position jitter makes every realization's Hamiltonian distinct.  The
-shots are then corrupted with a single batched relaxation/readout pass
-over the stacked shot array.
+and the whole block takes one solver call on it (one phase multiply
+or one multi-row Chebyshev recurrence), although position jitter makes
+every realization's Hamiltonian distinct.  The shots of all
+realizations are sampled in one pass over the final block, then
+corrupted with a single batched relaxation/readout pass over the
+stacked shot array.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.testing.faults import fault_point
 from repro.sim.evolution import evolve_realizations, ground_state
 from repro.sim.sampling import (
     apply_readout_error,
-    sample_bitstrings,
+    sample_column_bitstrings,
     z_average_from_samples,
     zz_average_from_samples,
 )
@@ -211,16 +212,12 @@ class NoisySimulator:
     ) -> np.ndarray:
         """Measurement + relaxation + SPAM over all realizations.
 
-        Sampling happens per realization (each has its own CDF), but
-        relaxation and readout errors are applied once over the stacked
-        ``(shots, N)`` array — two RNG calls total instead of two per
-        realization.
+        All realizations are sampled in one pass over the block (each
+        column keeps its own CDF), then relaxation and readout errors
+        are applied once over the stacked ``(shots, N)`` array — three
+        RNG calls in all.
         """
-        collected = [
-            sample_bitstrings(states[:, group], shots, rng=rng)
-            for group, shots in enumerate(per_group)
-        ]
-        samples = np.vstack(collected)
+        samples = sample_column_bitstrings(states, per_group, rng)
         decay_probability = 0.0
         if self.noise.t1 is not None:
             decay_probability = 1.0 - float(np.exp(-duration / self.noise.t1))

@@ -4,17 +4,20 @@
 segment: ``diagonal`` (all-Z Hamiltonians, any size), ``dense`` (small
 registers) and ``matrix_free`` (the Pauli-kernel Chebyshev propagator of
 :mod:`repro.sim.kernels`, everything else).  Three mechanisms make the
-first two cheap in the hot Monte-Carlo/ZNE loop:
+first two cheap:
 
 * **diagonal evolution** — a Hamiltonian whose every term is built from
   Z operators (detuning-only Rydberg segments, vdW interactions, Ising
   couplings) is diagonal in the computational basis, so
   ``exp(−i H t) |ψ⟩`` is an elementwise phase multiply.  The diagonal
   vectors are memoized per Hamiltonian.
-* **dense batch assembly** — for small registers the dense matrices of
-  many noise-perturbed Hamiltonians sharing one Pauli support are built
-  in a single BLAS call (coefficient matrix × flattened string stack)
-  and exponentiated with one batched :func:`scipy.linalg.expm`.
+* **dense batch assembly** — the propagator-cache misses of an ideal
+  block on a small register, and noise realizations under a forced
+  ``backend="dense"``, are built in a single BLAS call (coefficient
+  matrix × flattened string stack) and exponentiated with one batched
+  :func:`scipy.linalg.expm`.  ``auto`` sends noise realizations
+  matrix-free at every size: the ``expm`` of a one-shot Hamiltonian
+  is never reused.
 * **propagator cache** — the dense unitary ``exp(−i H t)`` of a
   recurring ``(Hamiltonian, duration)`` pair is memoized, so repeated
   segments across shots, stretch factors, and batch jobs collapse to a
@@ -28,7 +31,7 @@ All caches reuse the thread-safe LRU of :class:`repro.sim.operators
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -306,7 +309,7 @@ def dense_stack(
 ) -> np.ndarray:
     """Dense matrices of ``k`` coefficient rows in one BLAS call.
 
-    Noise realizations of one schedule segment share a Pauli support and
+    The Hamiltonians of one batch are rows over one Pauli support that
     differ only in coefficients, so the whole batch is the coefficient
     matrix times a stack of flattened (cached) string matrices:
     ``(k, S) @ (S, d²) → (k, d, d)``.

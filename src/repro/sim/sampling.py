@@ -7,7 +7,7 @@ real-device metrics are computed from 1000-shot histograms.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from repro.errors import SimulationError
 
 __all__ = [
     "sample_bitstrings",
+    "sample_column_bitstrings",
     "counts_from_samples",
     "apply_readout_error",
     "z_average_from_samples",
@@ -49,6 +50,54 @@ def sample_bitstrings(
         (outcomes[:, None] >> np.arange(num_qubits - 1, -1, -1)) & 1
     ).astype(np.int8)
     return bits
+
+
+def sample_column_bitstrings(
+    states: np.ndarray,
+    shots_per_column: Sequence[int],
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """``shots_per_column[j]`` outcomes of column ``j`` of a ``(2^N, k)``
+    block, stacked in column order as one ``(Σ shots, N)`` 0/1 array.
+
+    One pass over the block: one ``|ψ|²``, one ``cumsum`` per column
+    (its last entry is the norm² that is checked) and one
+    ``rng.random`` draw split in column order, then a ``searchsorted``
+    per column and one bit unpack.  The sums and the draw run in the
+    order of per-column :func:`sample_bitstrings` calls, so the samples
+    are bit-identical to them.
+    """
+    shots = np.asarray(shots_per_column, dtype=np.int64)
+    if shots.shape != (states.shape[1],):
+        raise SimulationError(
+            f"{shots.size} shot counts for {states.shape[1]} state columns"
+        )
+    if (shots < 1).any():
+        raise SimulationError("shots must be >= 1")
+    # One CDF per row of a C-ordered (k, 2^N) array, so each lookup
+    # searches contiguous memory; the last entry is the norm².
+    cdf = np.cumsum(
+        (np.abs(states) ** 2).T, axis=1, out=np.empty(states.shape[::-1])
+    )
+    totals = cdf[:, -1].copy()
+    off = np.flatnonzero(~np.isclose(totals, 1.0, atol=1e-6))
+    if off.size:
+        raise SimulationError(
+            f"state norm² of column {off[0]} is {totals[off[0]]:.6f}, "
+            "expected 1"
+        )
+    cdf /= totals[:, None]
+    draws = np.split(rng.random(int(shots.sum())), np.cumsum(shots)[:-1])
+    outcomes = np.concatenate(
+        [
+            np.searchsorted(row, draw, side="right")
+            for row, draw in zip(cdf, draws)
+        ]
+    )
+    num_qubits = int(round(np.log2(states.shape[0])))
+    return (
+        (outcomes[:, None] >> np.arange(num_qubits - 1, -1, -1)) & 1
+    ).astype(np.int8)
 
 
 def counts_from_samples(samples: np.ndarray) -> Dict[str, int]:

@@ -384,6 +384,42 @@ class TestRowKernelEquivalence:
         with pytest.raises(SimulationError):
             kernel.apply(np.ones(16, dtype=complex))
 
+def long_chebyshev_coefficients(span: float, tol: float) -> np.ndarray:
+    """The truncated series from a Bessel table four times longer than
+    the first guess needs, cut by the same ``2·tail ≤ tol`` rule."""
+    from scipy.special import jv
+
+    orders = np.arange(4 * (int(span) + 80))
+    bessel = jv(orders, span)
+    tails = np.cumsum(np.abs(bessel[::-1]))[::-1]
+    count = max(2, int(np.nonzero(2.0 * tails <= tol)[0][0]))
+    coefficients = 2.0 * (-1j) ** (orders[:count] % 4) * bessel[:count]
+    coefficients[0] /= 2.0
+    return coefficients
+
+
+class TestChebyshevCoefficients:
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
+    def test_one_bessel_call_covers_the_cut(self, tol, monkeypatch):
+        import scipy.special
+
+        calls = []
+        jv = scipy.special.jv
+
+        def counting_jv(orders, span):
+            calls.append(span)
+            return jv(orders, span)
+
+        monkeypatch.setattr(scipy.special, "jv", counting_jv)
+        for span in np.geomspace(0.1, 200.0, 40):
+            calls.clear()
+            got = _chebyshev_coefficients(float(span), tol)
+            assert len(calls) == 1
+            expected = long_chebyshev_coefficients(float(span), tol)
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() <= 1e-15
+
+
 class TestMatrixFreePropagators:
     @pytest.mark.parametrize("seed", range(10))
     def test_evolve_matches_dense_and_sparse(self, seed, exact_evolve):

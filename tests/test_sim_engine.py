@@ -542,9 +542,39 @@ class TestBatchedRealizations:
 
         evolve_realizations(ground_block(n, k), schedule, arrays)
         paths = simulation_cache_stats()["fast_paths"]
-        expected = "dense_build" if n <= 7 else "matrix_free"
-        assert paths[expected] == k * schedule.num_segments
+        assert paths["matrix_free"] == k * schedule.num_segments
         assert_batch_matches_columns(schedule, arrays, ground_block(n, k))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_auto_matches_forced_dense_at_small_n(self, n):
+        """``auto`` runs small registers matrix-free; the batched dense
+        ``expm`` it no longer takes stays the reference."""
+        from repro.sim.evolution import evolve_realizations
+
+        schedule = chain_schedule(n, np.random.default_rng(20 + n))
+        k = 5
+        arrays = draw_realizations(schedule, k, seed=20 + n)
+        block = random_block(np.random.default_rng(n), n, k)
+        auto = evolve_realizations(block, schedule, arrays)
+        paths = simulation_cache_stats()["fast_paths"]
+        assert paths["dense_build"] == 0
+        assert paths["matrix_free"] == k * schedule.num_segments
+        dense = evolve_realizations(block, schedule, arrays, backend="dense")
+        paths = simulation_cache_stats()["fast_paths"]
+        assert paths["dense_build"] == k * schedule.num_segments
+        assert np.abs(auto - dense).max() <= 1e-10
+
+    def test_complex_phase_matches_forced_dense(self):
+        from repro.sim.evolution import evolve_realizations
+
+        n, k = 5, 4
+        schedule = chain_schedule(n, np.random.default_rng(8), phi=0.7)
+        arrays = draw_realizations(schedule, k, seed=8)
+        block = ground_block(n, k)
+        auto = evolve_realizations(block, schedule, arrays)
+        assert simulation_cache_stats()["fast_paths"]["dense_build"] == 0
+        dense = evolve_realizations(block, schedule, arrays, backend="dense")
+        assert np.abs(auto - dense).max() <= 1e-10
 
     def test_detuning_only_segments_stay_diagonal(self):
         n, k = 8, 4
@@ -705,3 +735,82 @@ class TestNoisyRunRandomStream:
             states, [samples_per_group] * groups, schedule.total_duration, rng
         )
         assert np.array_equal(samples, expected)
+
+
+def legacy_sample_and_corrupt(noise, states, per_group, duration, rng):
+    """One ``sample_bitstrings`` call per realization, then relaxation
+    and readout over the stacked shots: the executor's RNG stream."""
+    from repro.sim.sampling import apply_readout_error
+
+    samples = np.vstack(
+        [
+            sample_bitstrings(states[:, group], shots, rng=rng)
+            for group, shots in enumerate(per_group)
+        ]
+    )
+    decay = 1.0 - float(np.exp(-duration / noise.t1))
+    relax = (samples == 1) & (rng.random(samples.shape) < decay)
+    samples = np.where(relax, 0, samples).astype(np.int8)
+    return apply_readout_error(samples, noise.p01, noise.p10, rng=rng)
+
+
+class TestOnePassSampling:
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_matches_per_column_sample_bitstrings(self, n):
+        from repro.sim.sampling import sample_column_bitstrings
+
+        block = random_block(np.random.default_rng(n), n, 4)
+        per_group = [6, 6, 5, 5]  # 22 shots over 4 groups
+        got = sample_column_bitstrings(
+            block, per_group, np.random.default_rng(n)
+        )
+        rng = np.random.default_rng(n)
+        expected = np.vstack(
+            [
+                sample_bitstrings(block[:, col], shots, rng=rng)
+                for col, shots in enumerate(per_group)
+            ]
+        )
+        assert got.dtype == expected.dtype == np.int8
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_noisy_run_matches_per_realization_sampling(self, n):
+        from repro.aais import aais_for_device
+
+        aais = aais_for_device("rydberg-1d", n)
+        schedule = realization_schedule(
+            aais, np.random.default_rng(n), aais.default_positions(spacing=6.0)
+        )
+        shots, groups = 103, 4
+        simulator = NoisySimulator(noise_samples=groups, seed=n)
+        samples = simulator.run(schedule, shots=shots)
+
+        rng = np.random.default_rng(n)
+        overrides = simulator._draw_override_batch(schedule, rng, groups)
+        states = simulator._evolve_realizations(schedule, overrides, groups)
+        expected = legacy_sample_and_corrupt(
+            simulator.noise,
+            states,
+            [26, 26, 26, 25],
+            schedule.total_duration,
+            rng,
+        )
+        assert np.array_equal(samples, expected)
+
+    def test_unnormalized_column_raises(self):
+        from repro.sim.sampling import sample_column_bitstrings
+
+        block = ground_block(3, 3)
+        block[1, 2] = 0.5  # column 2 has norm² 1.25
+        with pytest.raises(SimulationError, match="column 2"):
+            sample_column_bitstrings(block, [4, 4, 4], np.random.default_rng(0))
+
+    def test_shot_counts_must_cover_every_column(self):
+        from repro.sim.sampling import sample_column_bitstrings
+
+        block = ground_block(2, 3)
+        with pytest.raises(SimulationError):
+            sample_column_bitstrings(block, [4, 4], np.random.default_rng(0))
+        with pytest.raises(SimulationError):
+            sample_column_bitstrings(block, [4, 0, 4], np.random.default_rng(0))
