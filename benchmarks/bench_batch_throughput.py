@@ -7,14 +7,15 @@ writes a machine-readable report — jobs/sec per executor, speedups over
 serial, and the operator-cache hit rate observed on the repeated-target
 batch — to ``BENCH_batch.json``.
 
-Run:
+Run (``BENCH_batch.json`` is taken with the parent's BLAS pinned):
+    OPENBLAS_NUM_THREADS=1 python benchmarks/bench_batch_throughput.py --workers 2
     python benchmarks/bench_batch_throughput.py [--quick] [--output PATH]
 
 The serial run doubles as the cache measurement: verification evolves
 every compiled schedule in-process, so repeated targets must warm a
-cache — the CSC Hamiltonian LRU for large (Krylov-path) registers, the
-dense propagator cache (see :mod:`repro.sim.propagators`) for small
-ones.
+cache — the dense propagator cache (see :mod:`repro.sim.propagators`)
+for small registers, the matrix-free kernel cache (see
+:mod:`repro.sim.kernels`) for larger ones.
 """
 
 from __future__ import annotations
@@ -169,10 +170,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         output=args.output,
     )
     failed = sum(run["failed"] for run in report["runs"])
-    # Since the vectorized simulation engine, small-register verification
-    # evolutions take the dense-propagator path instead of realizing CSR
-    # Hamiltonians — repeated targets must warm at least one of the two
-    # cache layers.
+    # Verification evolutions build no CSR Hamiltonians; small registers
+    # take the dense-propagator path, so repeated targets must warm the
+    # propagator cache (or the operator cache, for callers that build
+    # Hamiltonian matrices).
     hit_rate = max(
         report.get("operator_cache_hit_rate", 0.0),
         report.get("propagator_cache_hit_rate", 0.0),

@@ -3,7 +3,7 @@
 The batch layer turns the one-target-at-a-time QTurbo pipeline into a
 throughput engine: build :class:`BatchJob` objects (each self-contained
 with its own target and AAIS), hand them to a :class:`BatchCompiler`
-with a serial / thread / process executor, and get a deterministic
+with a serial or process executor, and get a deterministic
 :class:`BatchResult` back with per-job timing and failure capture.
 """
 
@@ -19,7 +19,6 @@ from repro.batch.executors import (
     BatchExecutor,
     ProcessBatchExecutor,
     SerialExecutor,
-    ThreadBatchExecutor,
     resolve_executor,
 )
 from repro.batch.jobs import BatchJob, BatchResult, JobOutcome
@@ -45,7 +44,6 @@ __all__ = [
     "JobOutcome",
     "BatchExecutor",
     "SerialExecutor",
-    "ThreadBatchExecutor",
     "ProcessBatchExecutor",
     "resolve_executor",
     "EXECUTOR_NAMES",

@@ -11,8 +11,8 @@ Design notes
 * The unit of distribution is one :class:`BatchJob`; the worker function
   :func:`_execute_payload` lives at module level so the process-pool
   backend can pickle it.
-* Within a worker process (and therefore for the serial and thread
-  executors, which share this process), compilers are memoized per
+* Within a worker process (and therefore for the serial executor,
+  which shares this process), compilers are memoized per
   ``(AAIS, options)`` so structurally repeated jobs hit the compiler's
   linear-system cache and the global operator cache.
 * Optional verification evolves the target and the compiled schedule and
@@ -152,9 +152,9 @@ def _ideal_state_cache_get():
     if cache is None:
         from repro.sim.operators import MatrixCache
 
-        # Double-checked under the shared lock: thread-executor workers
-        # can race the first verification, and an unguarded assignment
-        # would silently drop one instance's entries.
+        # Double-checked under the shared lock: service threads and
+        # orphaned deadline watchdogs can race the first verification,
+        # and an unguarded assignment would drop one instance's entries.
         with _WORKER_COMPILERS_LOCK:
             if _ideal_state_cache is None:
                 _ideal_state_cache = MatrixCache(_IDEAL_STATE_CACHE_SIZE)
@@ -275,13 +275,13 @@ class BatchCompiler:
     Parameters
     ----------
     executor:
-        ``"serial"``, ``"thread"``, ``"process"``, or a
+        ``"serial"``, ``"process"``, or a
         :class:`repro.batch.executors.BatchExecutor` instance.
     workers:
-        Worker count for pooled executors (default: a capped CPU count).
+        Worker count for the process executor (default: a capped CPU count).
     chunksize:
         Jobs per dispatch chunk on the process executor (amortizes
-        pickling across a chunk; ignored by serial/thread backends).
+        pickling across a chunk; ignored by the serial backend).
     verify:
         When True, each successful compilation is checked by evolving
         the target and the compiled schedule and recording the state
@@ -297,7 +297,7 @@ class BatchCompiler:
     job_timeout:
         Per-job deadline in seconds.  A job still running at its
         deadline is killed (process executor) or abandoned
-        (serial/thread) and recorded as a
+        (serial) and recorded as a
         :class:`~repro.errors.JobTimeoutError` outcome.
 
     Examples
@@ -310,7 +310,7 @@ class BatchCompiler:
     ...                       RydbergAAIS(n))
     ...     for n in (3, 4, 5)
     ... ]
-    >>> batch = BatchCompiler(executor="thread").compile_many(jobs)
+    >>> batch = BatchCompiler(executor="serial").compile_many(jobs)
     >>> batch.all_succeeded
     True
     """

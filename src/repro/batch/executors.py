@@ -2,15 +2,11 @@
 
 An executor maps a worker function over job payloads and returns the
 results **in submission order**, regardless of completion order — the
-batch layer's determinism guarantee rests on this.  Three backends:
+batch layer's determinism guarantee rests on this.  Two backends:
 
 ``serial``
     In-process loop.  No concurrency, no surprises; the reference
-    against which the pooled executors must be bit-identical.
-``thread``
-    :class:`concurrent.futures.ThreadPoolExecutor`.  Compilation spends
-    most of its time inside numpy/scipy, which release the GIL, so
-    threads already buy real speedup without pickling costs.
+    against which the process pool must be bit-identical.
 ``process``
     :class:`concurrent.futures.ProcessPoolExecutor`.  True parallelism;
     payloads and results cross process boundaries by pickle, so the
@@ -19,7 +15,7 @@ batch layer's determinism guarantee rests on this.  Three backends:
     per-job pickling round-trip; the default chunk splits the payload
     list into roughly four chunks per worker, and ``chunksize=1``
     restores per-job dispatch (best when individual jobs are slow and
-    uneven).
+    uneven).  Each worker pins every loaded OpenBLAS to one thread.
 
 Fault tolerance
 ---------------
@@ -27,7 +23,7 @@ When the caller provides a ``failure_result`` factory, executors become
 resilient instead of fail-fast (see ``docs/robustness.md``):
 
 * **Deadlines** — with ``job_timeout`` set, a job still running at its
-  deadline is abandoned (serial/thread: the worker thread is orphaned;
+  deadline is abandoned (serial: its watchdog thread is orphaned;
   process: the hung worker is killed and the pool respawned) and its
   slot filled by ``failure_result(payload, JobTimeoutError(...))``.
   Timed-out jobs are never re-dispatched within the batch — a resumed
@@ -36,8 +32,8 @@ resilient instead of fail-fast (see ``docs/robustness.md``):
 * **Pool-crash recovery** — a ``BrokenProcessPool`` respawns the pool
   and re-dispatches only the unfinished jobs of the broken chunk.
   After ``max_pool_respawns`` breakages the executor degrades down the
-  ladder **process → thread → serial** with a logged downgrade, so a
-  poisoned environment still drains the batch.
+  ladder **process → serial** with a logged downgrade, so a poisoned
+  environment still drains the batch.
 
 Without ``failure_result`` the legacy contract holds: any executor-level
 failure propagates to the caller unchanged.
@@ -46,6 +42,7 @@ failure propagates to the caller unchanged.
 from __future__ import annotations
 
 import abc
+import ctypes
 import logging
 import os
 import time
@@ -65,7 +62,6 @@ from repro.errors import CompilationError, JobTimeoutError
 __all__ = [
     "BatchExecutor",
     "SerialExecutor",
-    "ThreadBatchExecutor",
     "ProcessBatchExecutor",
     "resolve_executor",
     "EXECUTOR_NAMES",
@@ -74,7 +70,7 @@ __all__ = [
 P = TypeVar("P")
 R = TypeVar("R")
 
-EXECUTOR_NAMES = ("serial", "thread", "process")
+EXECUTOR_NAMES = ("serial", "process")
 
 logger = logging.getLogger("repro.batch.executors")
 
@@ -105,6 +101,46 @@ def default_workers() -> int:
     return max(1, min(8, available))
 
 
+#: Thread setters of numpy's ``libscipy_openblas64_`` and scipy's
+#: ``libscipy_openblas``.
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+)
+
+
+def _loaded_openblas() -> List[ctypes.CDLL]:
+    """Every OpenBLAS already mapped into this process (Linux only)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {
+                line.split(maxsplit=5)[-1].strip()
+                for line in maps
+                if "libscipy_openblas" in line
+            }
+    except OSError:
+        return []
+    return [ctypes.CDLL(path) for path in sorted(paths)]
+
+
+def _pin_blas_threads() -> None:
+    """Pool initializer: one OpenBLAS thread per worker.
+
+    A forked worker inherits the parent's BLAS threads, and
+    ``OPENBLAS_NUM_THREADS`` is read only at library load, so the
+    library's own setter is called.  Never raises: a raising
+    initializer breaks the pool.
+    """
+    try:
+        for library in _loaded_openblas():
+            for name in _OPENBLAS_SETTERS:
+                setter = getattr(library, name, None)
+                if setter is not None:
+                    setter(1)
+    except Exception:  # noqa: BLE001 — pinning is best effort
+        logger.debug("could not pin worker BLAS threads", exc_info=True)
+
+
 class BatchExecutor(abc.ABC):
     """Maps a function over payloads, preserving submission order.
 
@@ -119,7 +155,7 @@ class BatchExecutor(abc.ABC):
     name: str = "abstract"
 
     #: BrokenProcessPool events tolerated before degrading down the
-    #: executor ladder (process → thread → serial).
+    #: executor ladder (process → serial).
     max_pool_respawns: int = 2
 
     def __init__(
@@ -143,14 +179,10 @@ class BatchExecutor(abc.ABC):
         self.workers = int(workers) if workers else default_workers()
         self.chunksize = int(chunksize) if chunksize else None
         self.job_timeout = float(job_timeout) if job_timeout else None
-        #: Executor-level fault events of the most recent :meth:`run`
-        #: (timeouts, pool respawns, downgrades) — the per-batch view of
-        #: the process-wide ``fault_tolerance_stats()`` counters.
-        self.fault_events = {
-            "timeouts": 0,
-            "pool_respawns": 0,
-            "downgrades": [],
-        }
+        # Executor-level fault events of the most recent run (timeouts,
+        # pool respawns, downgrades) — the per-batch view of the
+        # process-wide ``fault_tolerance_stats()`` counters.
+        self._reset_fault_events()
 
     @abc.abstractmethod
     def run(
@@ -290,42 +322,6 @@ class SerialExecutor(BatchExecutor):
         )
 
 
-class ThreadBatchExecutor(BatchExecutor):
-    """Thread-pool backend; shares in-process caches across jobs."""
-
-    name = "thread"
-
-    def run(
-        self,
-        fn: Callable[[P], R],
-        payloads: Sequence[P],
-        failure_result: Optional[Callable[[P, BaseException], R]] = None,
-    ) -> List[R]:
-        """Map ``fn`` over payloads on a thread pool, order-preserving."""
-        self._reset_fault_events()
-        if not payloads:
-            return []
-        if self.job_timeout is not None and failure_result is not None:
-            return _deadline_map_in_threads(
-                self, fn, payloads, failure_result, workers=self.workers
-            )
-        try:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                return list(pool.map(fn, payloads))
-        except RuntimeError as error:
-            # Thread exhaustion (e.g. under memory pressure) degrades to
-            # the serial reference loop — last rung of the ladder.
-            if failure_result is None:
-                raise
-            logger.warning(
-                "thread pool unavailable (%s); degrading thread -> serial",
-                error,
-            )
-            self.fault_events["downgrades"].append("thread->serial")
-            count_fault_event("downgrades")
-            return [fn(payload) for payload in payloads]
-
-
 class ProcessBatchExecutor(BatchExecutor):
     """Process-pool backend; ``fn`` and payloads must pickle.
 
@@ -337,10 +333,15 @@ class ProcessBatchExecutor(BatchExecutor):
     broken pool is respawned and only the unfinished jobs re-dispatched
     (safe — jobs are deterministic and artifact writes happen in the
     parent), and after :attr:`max_pool_respawns` breakages the
-    remaining jobs degrade to the thread backend (then serial).
+    remaining jobs degrade to the serial backend.
     """
 
     name = "process"
+
+    def _pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.workers, initializer=_pin_blas_threads
+        )
 
     def effective_chunksize(self, num_payloads: int) -> int:
         """The chunk the pool will use for ``num_payloads`` jobs.
@@ -365,7 +366,7 @@ class ProcessBatchExecutor(BatchExecutor):
         if not payloads:
             return []
         if failure_result is None:
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
+            with self._pool() as pool:
                 return list(
                     pool.map(
                         fn,
@@ -385,23 +386,19 @@ class ProcessBatchExecutor(BatchExecutor):
         results: List[R],
         failure_result: Callable[[P, BaseException], R],
     ) -> List[R]:
-        """Run the unfinished tail on the next executor down the ladder."""
+        """Run the unfinished tail on the serial executor."""
         logger.warning(
-            "process pool broke %d times; degrading process -> thread for "
+            "process pool broke %d times; degrading process -> serial for "
             "the remaining %d job(s)",
             self.fault_events["pool_respawns"],
             len(remaining),
         )
-        self.fault_events["downgrades"].append("process->thread")
+        self.fault_events["downgrades"].append("process->serial")
         count_fault_event("downgrades")
-        fallback = ThreadBatchExecutor(
-            workers=self.workers, job_timeout=self.job_timeout
-        )
+        fallback = SerialExecutor(job_timeout=self.job_timeout)
         tail = fallback.run(
             fn, [payload for _, payload in remaining], failure_result
         )
-        for event in fallback.fault_events["downgrades"]:
-            self.fault_events["downgrades"].append(event)
         self.fault_events["timeouts"] += fallback.fault_events["timeouts"]
         for (index, _), result in zip(remaining, tail):
             results[index] = result
@@ -423,7 +420,7 @@ class ProcessBatchExecutor(BatchExecutor):
         while remaining:
             received = 0
             try:
-                with ProcessPoolExecutor(max_workers=self.workers) as pool:
+                with self._pool() as pool:
                     for result in pool.map(
                         fn,
                         [payload for _, payload in remaining],
@@ -470,7 +467,7 @@ class ProcessBatchExecutor(BatchExecutor):
         results: List[R] = [None] * len(payloads)  # type: ignore[list-item]
         pending = deque(enumerate(payloads))
         inflight = {}  # future -> (index, payload, start_time)
-        pool = ProcessPoolExecutor(max_workers=self.workers)
+        pool = self._pool()
         try:
             while pending or inflight:
                 while pending and len(inflight) < self.workers:
@@ -529,7 +526,7 @@ class ProcessBatchExecutor(BatchExecutor):
                         return self._degrade(
                             fn, list(pending), results, failure_result
                         )
-                    pool = ProcessPoolExecutor(max_workers=self.workers)
+                    pool = self._pool()
         finally:
             self._kill_pool(pool)
         return results
@@ -560,7 +557,6 @@ class ProcessBatchExecutor(BatchExecutor):
 
 _EXECUTORS = {
     "serial": SerialExecutor,
-    "thread": ThreadBatchExecutor,
     "process": ProcessBatchExecutor,
 }
 

@@ -63,7 +63,7 @@ def fault_tolerance_stats() -> Dict[str, int]:
     ``retry_successes`` (jobs that succeeded after retrying),
     ``retry_exhausted``, ``timeouts`` (deadline kills),
     ``pool_respawns`` (broken process pools rebuilt), and
-    ``downgrades`` (executor degradations, e.g. process→thread).
+    ``downgrades`` (executor degradations, process→serial).
     Worker processes keep their own counters; per-job retry counts
     travel in job records instead.
     """

@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="jobs per process-pool dispatch chunk (amortizes pickling "
-        "on large sweeps; serial/thread executors ignore it)",
+        "on large sweeps; the serial executor ignores it)",
     )
     batch_cmd.add_argument(
         "--verify",

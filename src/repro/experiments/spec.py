@@ -375,7 +375,7 @@ class ExecutionSpec:
     """How the expanded jobs are dispatched (maps to ``repro.batch``).
 
     ``chunksize`` groups jobs per process-pool dispatch so wide sweeps
-    amortize pickling; serial/thread executors ignore it.  The
+    amortize pickling; the serial executor ignores it.  The
     fault-tolerance knobs (``retries``, ``retry_backoff``,
     ``job_timeout``; see ``docs/robustness.md``) default to off so
     pre-existing specs keep their spec hash — their defaults are

@@ -127,8 +127,9 @@ _kernel_cache = MatrixCache(DEFAULT_KERNEL_CACHE_SIZE)
 
 #: Shared basis-index arrays (``np.arange(2^N)``), keyed on N.  Tiny
 #: entry count — each array is 4·2^N bytes and every term reuses it.
-#: Guarded by a lock: the thread batch executor shares this module, and
-#: an unguarded evict can race a concurrent pop (see MatrixCache).
+#: Guarded by a lock: service threads and orphaned deadline watchdogs
+#: share this module, and an unguarded evict can race a concurrent pop
+#: (see MatrixCache).
 _index_cache: Dict[int, np.ndarray] = {}
 _INDEX_CACHE_CAP = 4
 _index_lock = threading.Lock()

@@ -89,9 +89,9 @@ class MatrixCache:
     Values are treated as immutable by the cache; callers that hand
     matrices out of the cache must copy them before exposing them to
     mutation (see :func:`pauli_string_matrix`).  A lock guards every
-    lookup/insert because the thread batch executor shares this cache
-    across workers — an unguarded ``move_to_end`` can race a concurrent
-    eviction and raise ``KeyError``.
+    lookup/insert because service threads and orphaned deadline
+    watchdogs share this cache — an unguarded ``move_to_end`` can race
+    a concurrent eviction and raise ``KeyError``.
 
     Values may be any immutable-by-convention object (sparse matrices,
     dense ndarrays, state vectors); the simulation fast-path caches in

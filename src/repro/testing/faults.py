@@ -31,8 +31,8 @@ exactly once and then let the respawned pool finish the batch.
 
 Plans propagate to process-pool workers through the
 ``REPRO_FAULT_PLAN`` environment variable (a JSON file written by
-:func:`inject_faults`), so the same plan drives serial, thread, and
-process executors identically.
+:func:`inject_faults`), so the same plan drives the serial and process
+executors identically.
 """
 
 from __future__ import annotations

@@ -40,6 +40,28 @@ def _square(value: int) -> int:
     return value * value
 
 
+def _blas_functions(verb: str) -> list:
+    """The ``verb`` ("get"/"set") thread-count functions of every loaded
+    OpenBLAS (numpy's ILP64 build and scipy's)."""
+    from repro.batch.executors import _loaded_openblas
+
+    names = [
+        f"scipy_openblas_{verb}_num_threads64_",
+        f"scipy_openblas_{verb}_num_threads",
+    ]
+    return [
+        getattr(library, name)
+        for library in _loaded_openblas()
+        for name in names
+        if hasattr(library, name)
+    ]
+
+
+def _blas_threads(_=None) -> list:
+    """Module-level worker: this process's OpenBLAS thread counts."""
+    return [get() for get in _blas_functions("get")]
+
+
 @pytest.fixture(scope="module")
 def fig3_jobs():
     """A small slice of the Fig-3 Rydberg workloads."""
@@ -82,7 +104,7 @@ class TestExecutorEquality:
         assert batch.all_succeeded
         assert batch.num_jobs == len(fig3_jobs)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_pool_matches_serial_bit_identical(self, fig3_jobs, executor):
         serial = BatchCompiler(executor="serial").compile_many(fig3_jobs)
         pooled = BatchCompiler(
@@ -217,8 +239,10 @@ class TestAggregation:
 
 class TestExecutorResolution:
     def test_unknown_name_raises(self):
-        with pytest.raises(CompilationError):
-            resolve_executor("gpu")
+        # "thread" is the retired thread-pool backend.
+        for name in ("gpu", "thread"):
+            with pytest.raises(CompilationError):
+                resolve_executor(name)
 
     def test_instance_passthrough(self):
         executor = SerialExecutor()
@@ -226,7 +250,7 @@ class TestExecutorResolution:
 
     def test_bad_worker_count_raises(self):
         with pytest.raises(CompilationError):
-            resolve_executor("thread", workers=0)
+            resolve_executor("process", workers=0)
 
     def test_serial_reports_one_worker(self):
         assert SerialExecutor(workers=7).workers == 1
@@ -273,6 +297,32 @@ class TestChunkedDispatch:
         assert compiler.executor.chunksize == 2
         batch = compiler.compile_many(fig3_jobs)
         assert batch.all_succeeded
+
+
+class TestWorkerBlasThreads:
+    @pytest.mark.parametrize("mode", ["plain", "crash_tolerant", "deadline"])
+    def test_pool_workers_run_one_blas_thread(self, mode):
+        """Every pool site pins its workers to one OpenBLAS thread, even
+        when the forking parent runs two."""
+        from repro.batch.executors import ProcessBatchExecutor
+
+        saved = _blas_threads()
+        if not saved:
+            pytest.skip("no OpenBLAS loaded")
+        for set_threads in _blas_functions("set"):
+            set_threads(2)
+        try:
+            assert set(_blas_threads()) == {2}
+            executor = ProcessBatchExecutor(
+                workers=2, job_timeout=60.0 if mode == "deadline" else None
+            )
+            failure = None if mode == "plain" else (lambda _, error: error)
+            reports = executor.run(_blas_threads, [0, 1, 2, 3], failure)
+        finally:
+            for set_threads, count in zip(_blas_functions("set"), saved):
+                set_threads(count)
+        assert _blas_threads() == saved
+        assert all(report and set(report) == {1} for report in reports)
 
 
 class TestWorkerCompilerReuse:

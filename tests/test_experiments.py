@@ -85,18 +85,20 @@ class TestSpecValidation:
                 "vectorized",
             ),
             ({}, {"compiler": {"snapshots": True}}, "snapshots"),
+            ({}, {"execution": {"executor": "thread"}}, "execution.executor"),
         ],
         ids=[
             "backend-sparse",
             "vectorized",
             "sweep-vectorized",
             "compiler-snapshots",
+            "executor-thread",
         ],
     )
     def test_retired_simulation_inputs_rejected(self, section, extra, field):
         """Retired inputs fail loudly and name the key: the sparse
-        backend, the legacy-loop flag, and the incremental-compilation
-        ``compiler.snapshots`` knob."""
+        backend, the legacy-loop flag, the incremental-compilation
+        ``compiler.snapshots`` knob, and the thread executor."""
         with pytest.raises(ExperimentError, match=field):
             _spec(simulation=dict(_sim_section(), **section), **extra)
 

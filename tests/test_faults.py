@@ -24,7 +24,6 @@ from repro.batch import (
 from repro.batch.executors import (
     ProcessBatchExecutor,
     SerialExecutor,
-    ThreadBatchExecutor,
     default_workers,
 )
 from repro.cli import main as cli_main
@@ -275,9 +274,7 @@ class TestBatchRetry:
 
 
 class TestDeadlines:
-    @pytest.mark.parametrize(
-        "executor_cls", [SerialExecutor, ThreadBatchExecutor]
-    )
+    @pytest.mark.parametrize("executor_cls", [SerialExecutor])
     def test_hung_job_killed_at_deadline(self, executor_cls):
         executor = executor_cls(workers=2, job_timeout=0.2)
         results = executor.run(
@@ -319,7 +316,7 @@ class TestCrashRecovery:
         assert executor.fault_events["pool_respawns"] >= 1
         assert not executor.fault_events["downgrades"]
 
-    def test_repeated_crashes_degrade_process_to_thread(self):
+    def test_repeated_crashes_degrade_process_to_serial(self):
         executor = ProcessBatchExecutor(workers=2, chunksize=1)
         with inject_faults(
             FaultRule(site="batch.job", action="kill", once=False)
@@ -327,14 +324,14 @@ class TestCrashRecovery:
             results = executor.run(
                 _square_at_site, list(range(8)), failure_result=_fail_tuple
             )
-        assert "process->thread" in executor.fault_events["downgrades"]
+        assert executor.fault_events["downgrades"] == ["process->serial"]
         assert (
             executor.fault_events["pool_respawns"]
             == executor.max_pool_respawns + 1
         )
         crashed = [r for r in results if isinstance(r, tuple)]
         squares = [r for r in results if not isinstance(r, tuple)]
-        # The thread rung sees the kill rule as an in-process
+        # The serial rung sees the kill rule as an in-process
         # WorkerCrashError exactly once; every other job completes.
         assert len(crashed) <= 1
         assert all(isinstance(r, int) for r in squares)

@@ -185,13 +185,19 @@ def test_queue_fails_forgotten_jobs():
 
 
 @pytest.mark.parametrize(
-    "flag", [["--executor", "process"], ["--workers", "2"]]
+    "flag",
+    [
+        ["serve", "--executor", "process"],
+        ["serve", "--workers", "2"],
+        # The retired thread-pool batch backend.
+        ["batch", "--model", "ising_chain", "--executor", "thread"],
+    ],
 )
 def test_retired_serve_flags_are_usage_errors(flag):
     from repro.cli import build_parser
 
     with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(["serve", *flag])
+        build_parser().parse_args(flag)
     assert exc.value.code == 2
 
 
