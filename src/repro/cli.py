@@ -9,8 +9,8 @@ Commands
     ``--explain --at-pass NAME`` additionally dumps the intermediate
     compilation state as it stood right after that pass ran (see
     ``docs/compilation.md``); ``--enable-pass``/``--disable-pass``
-    toggle optional pipeline passes such as ``term_fusion`` and
-    ``schedule_compaction``.
+    toggle pipeline passes (the optional ``schedule_compaction``, or
+    the L1 step of ``refinement``).
 ``models``
     List the registered benchmark models.
 ``compare``
@@ -93,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="NAME",
-        help="enable an optional pipeline pass (term_fusion, "
-        "schedule_compaction); repeatable",
+        help="enable an optional pipeline pass (schedule_compaction); "
+        "repeatable",
     )
     compile_cmd.add_argument(
         "--disable-pass",

@@ -58,7 +58,6 @@ __all__ = ["QTurboCompiler", "describe_unit_state"]
 
 #: Stage-timing bucket each pass's wall time is charged to.
 _PASS_STAGE = {
-    "term_fusion": "linear",
     "build_linear_system": "linear",
     "partition": "partition",
     "time_optimization": "time_optimization",
@@ -263,33 +262,31 @@ class QTurboCompiler:
     # Structural caches (the pass-level cache layer)
     # ------------------------------------------------------------------
     def shared_system(
-        self, key: tuple, channels, fusion_key=None
+        self, key: tuple, channels
     ) -> Tuple[GlobalLinearSystem, bool]:
         """The global linear system for a target term structure.
 
-        Keyed on the deduplicated, sorted term set plus the active
-        fusion fingerprint: every target whose segments touch the same
-        (fused) Pauli terms shares one system — and with it the
-        assembled matrix and its cached block plan.
+        Keyed on the deduplicated, sorted term set: every target whose
+        segments touch the same Pauli terms shares one system — and with
+        it the assembled matrix and its cached block plan.
 
         Returns
         -------
         tuple
             ``(system, cache_hit)``.
         """
-        cache_key = (key, fusion_key)
         if self.system_cache_size <= 0:
             return GlobalLinearSystem(channels, extra_terms=key), False
         with self._system_cache_lock:
-            system = self._system_cache.get(cache_key)
+            system = self._system_cache.get(key)
             if system is not None:
-                self._system_cache.move_to_end(cache_key)
+                self._system_cache.move_to_end(key)
                 self._system_cache_hits += 1
                 return system, True
             self._system_cache_misses += 1
         system = GlobalLinearSystem(channels, extra_terms=key)
         with self._system_cache_lock:
-            self._system_cache[cache_key] = system
+            self._system_cache[key] = system
             while len(self._system_cache) > self.system_cache_size:
                 self._system_cache.popitem(last=False)
                 self._system_cache_evictions += 1
@@ -402,11 +399,6 @@ def describe_unit_state(unit: CompilationUnit, index: int) -> Dict[str, object]:
         "passes_run": [record.name for record in unit.records],
         "segments": unit.num_segments,
     }
-    if unit.fusion_plan is not None:
-        state["fusion"] = {
-            "pruned_channels": len(unit.fusion_plan.pruned_channels),
-            "fused_groups": len(unit.fusion_plan.groups),
-        }
     if unit.system is not None:
         rows, cols = unit.system.matrix.shape
         state["linear_system"] = {"rows": rows, "cols": cols}

@@ -15,11 +15,9 @@ from repro.core.pipeline.passes import (
     BuildLinearSystemPass,
     EmitSchedulePass,
     FixedSolvePass,
-    FusionPlan,
     PartitionPass,
     RefinementPass,
     ScheduleCompactionPass,
-    TermFusionPass,
     TimeOptimizationPass,
     linear_system_key,
 )
@@ -46,9 +44,7 @@ __all__ = [
     "FixedSolvePass",
     "RefinementPass",
     "EmitSchedulePass",
-    "TermFusionPass",
     "ScheduleCompactionPass",
-    "FusionPlan",
     "linear_system_key",
     "PASS_REGISTRY",
     "DEFAULT_PASSES",

@@ -15,26 +15,18 @@ pass                      paper stage
 ``emit_schedule``         schedule emission, validation, error budget
 ========================  ====================================================
 
-Two opt-in optimization passes ride the same seam:
-
-* :class:`TermFusionPass` (``term_fusion``) prunes dynamic-only channel
-  groups the target never exercises and merges Pauli-term rows the
-  channels drive in exact lockstep — shrinking the linear system for
-  dense targets before any solve runs.
-* :class:`ScheduleCompactionPass` (``schedule_compaction``) drops
-  segments whose realized Hamiltonian is identically zero before the
-  schedule is emitted.
-
-Both change the error *accounting* of the result (never the validity of
-the emitted schedule), so neither is part of the default pipeline: the
-default pipeline is bit-identical to the pre-pipeline compiler.
+One opt-in optimization pass rides the same seam:
+:class:`ScheduleCompactionPass` (``schedule_compaction``) drops segments
+whose realized Hamiltonian is identically zero before the schedule is
+emitted.  It changes the error *accounting* of the result (never the
+validity of the emitted schedule), so it is not part of the default
+pipeline: the default pipeline is bit-identical to the pre-pipeline
+compiler.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -57,9 +49,7 @@ __all__ = [
     "FixedSolvePass",
     "RefinementPass",
     "EmitSchedulePass",
-    "TermFusionPass",
     "ScheduleCompactionPass",
-    "FusionPlan",
     "linear_system_key",
 ]
 
@@ -182,20 +172,15 @@ def _linear_residual(
 def linear_system_key(unit: CompilationUnit) -> Tuple[PauliString, ...]:
     """The shared-system cache key for a unit's target.
 
-    The sorted set of non-identity target terms across every segment,
-    mapped through the unit's fusion plan when one is installed — the
-    same key :class:`BuildLinearSystemPass` uses to fetch or build the
+    The sorted set of non-identity target terms across every segment —
+    the key :class:`BuildLinearSystemPass` uses to fetch or build the
     :class:`~repro.core.linear_system.GlobalLinearSystem`.
     """
     extra_terms: List[PauliString] = []
     for segment in unit.target.segments:
         extra_terms.extend(segment.hamiltonian.terms)
     terms = {t for t in extra_terms if not t.is_identity}
-    key = tuple(sorted(terms, key=pauli_order_key))
-    if unit.fusion_plan is not None:
-        mapped = {unit.fusion_plan.map_term(t) for t in key}
-        key = tuple(sorted(mapped, key=pauli_order_key))
-    return key
+    return tuple(sorted(terms, key=pauli_order_key))
 
 
 # ----------------------------------------------------------------------
@@ -208,9 +193,6 @@ class BuildLinearSystemPass(CompilerPass):
     compiler's cross-compile cache) the
     :class:`~repro.core.linear_system.GlobalLinearSystem`, builds the
     per-segment right-hand sides ``A_tar × T_tar``, and solves each.
-    When a :class:`TermFusionPass` ran earlier, the fused channel views
-    and right-hand sides are used instead, and the pruned channels'
-    synthesized variables are pinned to zero.
 
     Targets with the same term structure share the matrix and its block
     plan through the compiler's system cache; only the right-hand sides
@@ -233,14 +215,8 @@ class BuildLinearSystemPass(CompilerPass):
                 f"target touches {needed} qubits but the AAIS has only "
                 f"{context.aais.num_sites} sites"
             )
-        plan = unit.fusion_plan
         key = linear_system_key(unit)
-        channels = (
-            unit.system_channels
-            if unit.system_channels is not None
-            else context.aais.channels
-        )
-        system, hit = context.shared_system(key, channels, unit.fusion_key)
+        system, hit = context.shared_system(key, context.aais.channels)
         self.mark_cache(hit)
         unit.system = system
 
@@ -252,14 +228,8 @@ class BuildLinearSystemPass(CompilerPass):
             }
             for segment in target.segments
         ]
-        if plan is not None:
-            b_targets = [plan.fuse_b(b) for b in b_targets]
         unit.b_targets = b_targets
         unit.linear_solutions = [system.solve(b) for b in b_targets]
-        if plan is not None:
-            for solution in unit.linear_solutions:
-                for name in plan.pruned_channels:
-                    solution.alphas[name] = 0.0
 
         for solution in unit.linear_solutions:
             for term in solution.unreachable_terms:
@@ -556,297 +526,6 @@ class EmitSchedulePass(CompilerPass):
 # ----------------------------------------------------------------------
 # Optimization passes (opt-in)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FusionPlan:
-    """A validated term-fusion rewrite of the linear system.
-
-    Attributes
-    ----------
-    groups:
-        One entry per fused row group:
-        ``(representative, ((member, λ), ...), scale)`` where every
-        channel drives ``member`` with exactly ``λ`` times its
-        coefficient on ``representative`` and
-        ``scale = sqrt(Σ λ²)`` preserves the least-squares optimum.
-    pruned_channels:
-        Names of runtime-dynamic channels whose term–channel component
-        contains no targeted term; their synthesized variables are
-        pinned to zero instead of solved.
-    pruned_terms:
-        The reachable-but-untargeted terms those channels drove.
-    """
-
-    groups: Tuple[
-        Tuple[PauliString, Tuple[Tuple[PauliString, float], ...], float],
-        ...,
-    ]
-    pruned_channels: Tuple[str, ...]
-    pruned_terms: Tuple[PauliString, ...]
-
-    @property
-    def cache_key(self) -> tuple:
-        """Hashable fingerprint for the shared-system cache."""
-        return (self.groups, self.pruned_channels)
-
-    @property
-    def is_noop(self) -> bool:
-        """True when the plan changes nothing."""
-        return not self.groups and not self.pruned_channels
-
-    @functools.cached_property
-    def _member_index(
-        self,
-    ) -> Dict[PauliString, Tuple[PauliString, float, float]]:
-        """``member → (representative, λ, scale)``, computed once."""
-        index: Dict[PauliString, Tuple[PauliString, float, float]] = {}
-        for representative, members, scale in self.groups:
-            for member, lam in members:
-                index[member] = (representative, lam, scale)
-        return index
-
-    def map_term(self, term: PauliString) -> PauliString:
-        """The row a target term lands on after fusion."""
-        mapped = self._member_index.get(term)
-        return term if mapped is None else mapped[0]
-
-    def fuse_b(
-        self, b_target: Mapping[PauliString, float]
-    ) -> Dict[PauliString, float]:
-        """Rewrite a right-hand side into the fused row basis.
-
-        A group's fused target is ``Σ λ_k b_k / scale`` — exactly the
-        value that makes the reduced least-squares problem share its
-        optimum with the original.
-        """
-        index = self._member_index
-        fused: Dict[PauliString, float] = {}
-        for term, value in b_target.items():
-            mapped = index.get(term)
-            if mapped is None:
-                fused[term] = fused.get(term, 0.0) + value
-            else:
-                representative, lam, scale = mapped
-                fused[representative] = (
-                    fused.get(representative, 0.0) + lam * value / scale
-                )
-        return fused
-
-
-class _FusedChannelView:
-    """A channel as seen by the fused linear system.
-
-    Delegates identity and bounds to the wrapped channel but rewrites
-    :meth:`dynamics_terms` into the fused row basis: group members
-    collapse onto the representative with the group's scale applied.
-    Only the linear system reads these views — partitioning, local
-    solvers, and schedule emission keep the original channels.
-    """
-
-    def __init__(self, channel, plan: FusionPlan):
-        self._channel = channel
-        self._plan = plan
-        fused: Dict[PauliString, float] = {}
-        member_index = plan._member_index
-        for term, coeff in channel.dynamics_terms().items():
-            mapped = member_index.get(term)
-            if mapped is None:
-                fused[term] = fused.get(term, 0.0) + coeff
-            else:
-                representative, lam, scale = mapped
-                # Proportionality: coeff == λ · c_rep, so the fused
-                # row's entry is c_rep · scale == coeff · scale / λ.
-                fused.setdefault(representative, coeff * scale / lam)
-        self._fused_terms = fused
-
-    @property
-    def name(self) -> str:
-        """The wrapped channel's name (α keys are unchanged)."""
-        return self._channel.name
-
-    def dynamics_terms(self) -> Dict[PauliString, float]:
-        """The channel's coefficient pattern in the fused row basis."""
-        return dict(self._fused_terms)
-
-    def alpha_bounds(self) -> Tuple[float, float]:
-        """The wrapped channel's synthesized-variable bounds."""
-        return self._channel.alpha_bounds()
-
-    def __repr__(self) -> str:
-        return f"_FusedChannelView({self._channel.name})"
-
-
-class TermFusionPass(CompilerPass):
-    """Shrink the linear system before any solve runs (opt-in).
-
-    Two rewrites, both computed from the channel/target structure alone:
-
-    1. **Dead-component pruning** — connected components of the
-       term–channel bipartite graph that contain no targeted term and
-       only runtime-dynamic channels are removed from the system; their
-       synthesized variables are exactly zero at any optimum (zero
-       amplitude realizes them, and their rows have zero targets), so
-       the reduced solve shares its optimum with the full one.
-       Runtime-fixed channels (e.g. Van der Waals interactions) are
-       never pruned: their physics is always on.
-    2. **Proportional-row fusion** — rows driven in exact lockstep by
-       every channel (``row_j = λ · row_i``) are merged into one
-       rescaled row with target ``Σ λ_k b_k / √(Σ λ_k²)``, which
-       preserves the least-squares optimum.
-
-    The fused system changes how residuals are *attributed* (fused rows
-    report a combined residual), so the pass is opt-in rather than part
-    of the default pipeline.
-
-    The plan is a pure function of the channels and the *set* of
-    targeted terms (built with the same ``> 1e-12`` drop threshold
-    Hamiltonian construction applies).
-
-    Parameters
-    ----------
-    tol:
-        Relative tolerance for the proportionality test.
-    """
-
-    name = "term_fusion"
-
-    #: Plans are pure functions of (channels, targeted terms); channels
-    #: are fixed per compiler, so a small per-pass memo keyed on the
-    #: targeted term set makes repeat compilations skip the graph walk.
-    _PLAN_CACHE_SIZE = 32
-
-    def __init__(self, tol: float = 1e-9):
-        super().__init__()
-        self.tol = float(tol)
-        self._plan_cache: "Dict[frozenset, Tuple[FusionPlan, tuple]]" = {}
-
-    def run(self, unit: CompilationUnit, context) -> CompilationUnit:
-        """Compute (or recall) and install the fusion plan for this target."""
-        channels = context.aais.channels
-        targeted = frozenset(
-            term
-            for segment in unit.target.segments
-            for term, coeff in segment.hamiltonian.terms.items()
-            if not term.is_identity and abs(coeff) > _ZERO
-        )
-        cached = self._plan_cache.get(targeted)
-        self.mark_cache(cached is not None)
-        if cached is None:
-            plan = self._build_plan(channels, targeted)
-            fused_channels = tuple(
-                _FusedChannelView(c, plan) if plan.groups else c
-                for c in channels
-                if c.name not in set(plan.pruned_channels)
-            )
-            cached = (plan, fused_channels)
-            if len(self._plan_cache) >= self._PLAN_CACHE_SIZE:
-                self._plan_cache.clear()
-            self._plan_cache[targeted] = cached
-        plan, fused_channels = cached
-        self.record(
-            pruned_channels=len(plan.pruned_channels),
-            pruned_terms=len(plan.pruned_terms),
-            fused_groups=len(plan.groups),
-            fused_terms=sum(len(members) - 1 for _, members, _ in plan.groups),
-        )
-        if plan.is_noop:
-            return unit
-        unit.fusion_plan = plan
-        unit.fusion_key = plan.cache_key
-        unit.system_channels = fused_channels
-        return unit
-
-    # ------------------------------------------------------------------
-    def _build_plan(self, channels, targeted) -> FusionPlan:
-        """Derive the fusion plan from the channel/target structure."""
-        pruned_names, pruned_terms = self._dead_components(
-            channels, targeted
-        )
-        live_channels = [
-            c for c in channels if c.name not in pruned_names
-        ]
-        groups = self._proportional_groups(live_channels, targeted)
-        return FusionPlan(
-            groups=groups,
-            pruned_channels=tuple(sorted(pruned_names)),
-            pruned_terms=tuple(sorted(pruned_terms, key=pauli_order_key)),
-        )
-
-    # ------------------------------------------------------------------
-    def _dead_components(self, channels, targeted):
-        """Channel groups the target never exercises (dynamic only)."""
-        from repro.core.partition import UnionFind
-
-        forest = UnionFind()
-        term_key = {}
-        for channel in channels:
-            forest.add(channel.name)
-            for term in channel.dynamics_terms():
-                key = f"term::{term}"
-                term_key[key] = term
-                forest.add(key)
-                forest.union(channel.name, key)
-        live_roots = set()
-        for channel in channels:
-            if channel.is_fixed:
-                live_roots.add(forest.find(channel.name))
-        for key, term in term_key.items():
-            if term in targeted:
-                live_roots.add(forest.find(key))
-        pruned_names = {
-            channel.name
-            for channel in channels
-            if forest.find(channel.name) not in live_roots
-        }
-        pruned_terms = {
-            term
-            for key, term in term_key.items()
-            if forest.find(key) not in live_roots
-        }
-        return pruned_names, pruned_terms
-
-    def _proportional_groups(self, channels, targeted):
-        """Group rows the live channels drive in exact lockstep."""
-        rows: Dict[PauliString, Dict[int, float]] = {}
-        for col, channel in enumerate(channels):
-            for term, coeff in channel.dynamics_terms().items():
-                rows.setdefault(term, {})[col] = coeff
-        for term in targeted:
-            rows.setdefault(term, {})
-
-        by_signature: Dict[tuple, List[Tuple[PauliString, float]]] = {}
-        for term in sorted(rows, key=pauli_order_key):
-            entries = rows[term]
-            if not entries:
-                continue  # unreachable targeted term: keep its zero row
-            support = tuple(sorted(entries))
-            pivot = entries[support[0]]
-            normalized = tuple(
-                (col, self._quantize(entries[col] / pivot))
-                for col in support
-            )
-            by_signature.setdefault((support, normalized), []).append(
-                (term, pivot)
-            )
-
-        groups = []
-        for members in by_signature.values():
-            if len(members) < 2:
-                continue
-            rep_term, rep_pivot = members[0]
-            lams = [(term, pivot / rep_pivot) for term, pivot in members]
-            scale = math.sqrt(sum(lam * lam for _, lam in lams))
-            groups.append((rep_term, tuple(lams), scale))
-        return tuple(groups)
-
-    def _quantize(self, ratio: float) -> float:
-        """Round a coefficient ratio so equal-within-``tol`` ratios match."""
-        if ratio == 0.0:
-            return 0.0
-        digits = max(1, round(-math.log10(self.tol)))
-        magnitude = 10 ** (math.floor(math.log10(abs(ratio))) - digits)
-        return round(ratio / magnitude) * magnitude
-
-
 class ScheduleCompactionPass(CompilerPass):
     """Drop segments whose realized Hamiltonian is identically zero.
 

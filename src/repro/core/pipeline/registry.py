@@ -25,7 +25,6 @@ from repro.core.pipeline.passes import (
     PartitionPass,
     RefinementPass,
     ScheduleCompactionPass,
-    TermFusionPass,
     TimeOptimizationPass,
 )
 from repro.errors import CompilationError
@@ -42,7 +41,6 @@ __all__ = [
 
 #: Every known pass, by its stable registry name.
 PASS_REGISTRY: Dict[str, Type[CompilerPass]] = {
-    TermFusionPass.name: TermFusionPass,
     BuildLinearSystemPass.name: BuildLinearSystemPass,
     PartitionPass.name: PartitionPass,
     TimeOptimizationPass.name: TimeOptimizationPass,
@@ -63,12 +61,8 @@ DEFAULT_PASSES: Tuple[str, ...] = (
 )
 
 #: Opt-in optimization passes and where they slot into the default.
-OPTIONAL_PASSES: Tuple[str, ...] = (
-    TermFusionPass.name,
-    ScheduleCompactionPass.name,
-)
+OPTIONAL_PASSES: Tuple[str, ...] = (ScheduleCompactionPass.name,)
 _INSERT_BEFORE: Dict[str, str] = {
-    TermFusionPass.name: BuildLinearSystemPass.name,
     ScheduleCompactionPass.name: EmitSchedulePass.name,
 }
 
@@ -81,7 +75,6 @@ _DISABLEABLE: Tuple[str, ...] = (RefinementPass.name,) + OPTIONAL_PASSES
 #: each pair ``(before, after)`` says *before* must precede *after*
 #: whenever both are present.
 _ORDER_CONSTRAINTS: Tuple[Tuple[str, str], ...] = (
-    (TermFusionPass.name, BuildLinearSystemPass.name),
     (BuildLinearSystemPass.name, TimeOptimizationPass.name),
     (PartitionPass.name, TimeOptimizationPass.name),
     (TimeOptimizationPass.name, FixedSolvePass.name),

@@ -81,17 +81,8 @@ class CompilationUnit:
         The piecewise-constant target Hamiltonian being compiled.
     aais:
         The instruction set compiled onto.
-    system_channels:
-        The channels the linear system is built over — the full AAIS
-        channel list by default; :class:`TermFusionPass` may replace it
-        with fused/pruned adapters.  The partition and the local solvers
-        always use the original AAIS channels.
-    fusion_key:
-        Hashable fingerprint of the active term-fusion plan (None when
-        fusion is off) — part of the shared-system cache key so fused
-        and unfused systems never collide.
     system:
-        The (possibly fused) global linear system.
+        The global linear system.
     b_targets:
         Per-segment target coefficient vectors ``A_tar × T_tar``.
     linear_solutions:
@@ -127,9 +118,6 @@ class CompilationUnit:
     aais: AAIS
 
     # Stage products -- filled in as passes execute.
-    system_channels: Optional[tuple] = None
-    fusion_plan: Optional[object] = None
-    fusion_key: Optional[tuple] = None
     system: Optional[GlobalLinearSystem] = None
     b_targets: List[Dict[PauliString, float]] = field(default_factory=list)
     linear_solutions: List[LinearSolution] = field(default_factory=list)

@@ -21,7 +21,6 @@ from repro.sim.kernels import (
     expm_multiply_matrix_free,
     hamiltonian_kernel,
     kernel_cache_stats,
-    lanczos_expm_multiply,
 )
 from repro.sim.noise import NoiseParameters, NoisySimulator, aquila_noise
 from repro.sim.observables import (
@@ -82,7 +81,6 @@ __all__ = [
     "hamiltonian_kernel",
     "apply_pauli_string",
     "apply_hamiltonian",
-    "lanczos_expm_multiply",
     "expm_multiply_matrix_free",
     "kernel_cache_stats",
     "sample_bitstrings",

@@ -45,30 +45,24 @@ included) are memoized in process-wide LRUs
 support but differ in coefficients reuse every index-arithmetic
 artifact.
 
-On top of the kernels, two Hermitian propagators replace
-``scipy.sparse.linalg.expm_multiply``:
-
-* :func:`chebyshev_expm_multiply` — a Chebyshev polynomial expansion of
-  ``exp(−i H t)`` inside the kernel's rigorous spectral bounds (exact
-  diagonal range ± the off-diagonal ℓ1 norm).  Deterministic
-  ``≈ ρ·t`` matvec count and five row blocks of working memory; it
-  transposes the ``(2^N, k)`` block once on entry and once on exit and
-  pushes every column through each recurrence step.  This is what
-  :func:`expm_multiply_matrix_free` runs.
-* :func:`lanczos_expm_multiply` — Krylov projection with adaptive
-  sub-stepping and a residual-based error estimate; works through any
-  Hermitian :class:`scipy.sparse.linalg.LinearOperator`.
+On top of the kernels, one Hermitian propagator replaces
+``scipy.sparse.linalg.expm_multiply``: :func:`chebyshev_expm_multiply`,
+a Chebyshev polynomial expansion of ``exp(−i H t)`` inside the kernel's
+rigorous spectral bounds (exact diagonal range ± the off-diagonal ℓ1
+norm).  It has a deterministic ``≈ ρ·t`` matvec count and five row
+blocks of working memory; it transposes the ``(2^N, k)`` block once on
+entry and once on exit and pushes every column through each recurrence
+step.  This is what :func:`expm_multiply_matrix_free` runs.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import blas, eigh_tridiagonal
-from scipy.sparse.linalg import LinearOperator
+from scipy.linalg import blas
 
 from repro.errors import SimulationError
 from repro.hamiltonian.expression import Hamiltonian
@@ -80,14 +74,12 @@ __all__ = [
     "hamiltonian_kernel",
     "apply_pauli_string",
     "apply_hamiltonian",
-    "lanczos_expm_multiply",
     "chebyshev_expm_multiply",
     "expm_multiply_matrix_free",
     "kernel_expm_multiply",
     "kernel_cache_stats",
     "clear_kernel_caches",
     "configure_kernel_caches",
-    "DEFAULT_MAX_KRYLOV_DIM",
 ]
 
 #: Default cache capacities (entries, not bytes).  A sign vector costs
@@ -97,11 +89,8 @@ DEFAULT_SIGN_CACHE_SIZE = 128
 DEFAULT_STRUCTURE_CACHE_SIZE = 16
 DEFAULT_KERNEL_CACHE_SIZE = 16
 
-#: Largest Krylov basis :func:`lanczos_expm_multiply` builds per step.
-DEFAULT_MAX_KRYLOV_DIM = 30
-
-#: Default relative tolerance of the matrix-free propagators.
-DEFAULT_LANCZOS_TOL = 1e-10
+#: Default relative tolerance of the matrix-free propagator.
+DEFAULT_EXPM_TOL = 1e-10
 
 #: Off-diagonal terms supported wholly on the last ``m = min(TAIL_QUBITS,
 #: N)`` qubits are summed into one dense ``2^m × 2^m`` matrix and applied
@@ -634,24 +623,6 @@ class HamiltonianKernel:
             self._offdiag_into(rows, out, np.empty_like(rows))
         return self._from_rows(states.shape, split, out)
 
-    def __call__(self, states: np.ndarray) -> np.ndarray:
-        """Alias for :meth:`apply` (lets the kernel act as a matvec)."""
-        return self.apply(states)
-
-    def as_linear_operator(self) -> LinearOperator:
-        """The kernel as a Hermitian :class:`LinearOperator`.
-
-        ``rmatvec`` is the forward application: coefficients are real,
-        so ``H† = H``.
-        """
-        return LinearOperator(
-            shape=(self.dim, self.dim),
-            matvec=self.apply,
-            rmatvec=self.apply,
-            matmat=self.apply,
-            dtype=complex,
-        )
-
     def spectral_bounds(self) -> Tuple[float, float]:
         """Rigorous eigenvalue bounds ``[lo, hi]``, over all ``h`` rows.
 
@@ -726,151 +697,6 @@ def apply_hamiltonian(
     return hamiltonian_kernel(hamiltonian, num_qubits).apply(states)
 
 
-# ----------------------------------------------------------------------
-# Lanczos propagator
-# ----------------------------------------------------------------------
-def _small_expm_factors(
-    alphas: List[float], betas: List[float], order: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the ``order``-dim Lanczos tridiagonal."""
-    if order == 1:
-        return np.array([alphas[0]]), np.ones((1, 1))
-    return eigh_tridiagonal(
-        np.asarray(alphas[:order]), np.asarray(betas[: order - 1])
-    )
-
-
-def _lanczos_step(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    vector: np.ndarray,
-    max_dim: int,
-) -> Tuple[List[np.ndarray], List[float], List[float], bool]:
-    """One Hermitian Lanczos factorization from ``vector`` (unit norm).
-
-    Returns ``(basis, alphas, betas, happy)``; with a happy breakdown
-    the Krylov space is exact and ``betas`` has one entry fewer than
-    ``alphas``, otherwise ``betas[-1]`` is the residual coupling
-    ``h_{m+1,m}`` that feeds the error estimate.  One full
-    reorthogonalization pass per iteration keeps the basis orthogonal
-    to the tolerances the propagator targets (~1e-10).
-    """
-    basis = [vector]
-    alphas: List[float] = []
-    betas: List[float] = []
-    for j in range(max_dim):
-        w = matvec(basis[j])
-        alpha = float(np.real(np.vdot(basis[j], w)))
-        w -= alpha * basis[j]
-        if j > 0:
-            w -= betas[-1] * basis[j - 1]
-        for prior in basis:
-            w -= np.vdot(prior, w) * prior
-        alphas.append(alpha)
-        beta = float(np.linalg.norm(w))
-        if beta <= 1e-13 * max(1.0, abs(alpha)):
-            return basis, alphas, betas, True
-        betas.append(beta)
-        if j + 1 < max_dim:
-            basis.append(w / beta)
-    return basis, alphas, betas, False
-
-
-def _lanczos_expm_column(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    vector: np.ndarray,
-    duration: float,
-    tol: float,
-    max_dim: int,
-) -> np.ndarray:
-    """``exp(−i H t) |v⟩`` by restarted Lanczos with adaptive steps."""
-    norm0 = float(np.linalg.norm(vector))
-    if norm0 == 0.0 or duration == 0.0:
-        return np.array(vector, dtype=complex, copy=True)
-    dim = vector.shape[0]
-    cap = max(2, min(max_dim, dim))
-    current = np.asarray(vector, dtype=complex)
-    done = 0.0
-    while done < duration * (1.0 - 1e-14):
-        beta0 = float(np.linalg.norm(current))
-        if beta0 == 0.0:
-            return current
-        basis, alphas, betas, happy = _lanczos_step(
-            matvec, current / beta0, cap
-        )
-        order = len(alphas)
-        eigenvalues, rotation = _small_expm_factors(alphas, betas, order)
-        first_row = rotation[0, :]
-        step = duration - done
-        while True:
-            small = rotation @ (np.exp(-1j * step * eigenvalues) * first_row)
-            if happy or order == dim:
-                break
-            # Saad's residual estimate for the Krylov exp approximation;
-            # the basis is reused, only the (cheap) small exponential is
-            # recomputed as the step shrinks.
-            residual = betas[order - 1] * abs(small[-1])
-            if residual <= tol * max(step / duration, 1e-3):
-                break
-            # Underflow guard: accept the current step (whose ``small``
-            # was just computed — step and propagator must stay
-            # consistent) rather than halving forever.
-            if step <= duration * 2e-12:
-                break
-            step *= 0.5
-        fresh = small[0] * basis[0]
-        for index in range(1, order):
-            fresh += small[index] * basis[index]
-        current = beta0 * fresh
-        done += step
-    return current
-
-
-def lanczos_expm_multiply(
-    operator: Union[LinearOperator, HamiltonianKernel, Callable],
-    states: np.ndarray,
-    duration: float,
-    tol: float = DEFAULT_LANCZOS_TOL,
-    max_krylov: Optional[int] = None,
-) -> np.ndarray:
-    """``exp(−i A t) @ states`` for a Hermitian operator, matrix-free.
-
-    Parameters
-    ----------
-    operator:
-        A Hermitian :class:`scipy.sparse.linalg.LinearOperator`, a
-        :class:`HamiltonianKernel`, or any matvec callable.
-    states:
-        A ``(dim,)`` vector or ``(dim, k)`` block; columns propagate
-        independently (each gets its own Krylov space).
-    duration:
-        Evolution time ``t`` (must be ≥ 0; the ``−i`` is implied).
-    tol:
-        Relative accuracy target, accumulated across sub-steps.
-    max_krylov:
-        Largest Krylov basis per sub-step (default
-        :data:`DEFAULT_MAX_KRYLOV_DIM`); the basis is the propagator's
-        only super-linear memory use, ``max_krylov · 2^N · 16`` bytes.
-    """
-    if duration < 0:
-        raise SimulationError(f"negative duration {duration}")
-    if isinstance(operator, HamiltonianKernel):
-        matvec = operator.apply
-    elif isinstance(operator, LinearOperator):
-        matvec = lambda v: operator.matvec(v)  # noqa: E731
-    else:
-        matvec = operator
-    states = np.asarray(states, dtype=complex)
-    cap = max_krylov if max_krylov is not None else DEFAULT_MAX_KRYLOV_DIM
-    if states.ndim == 1:
-        return _lanczos_expm_column(matvec, states, duration, tol, cap)
-    out = np.empty_like(states)
-    for col in range(states.shape[1]):
-        out[:, col] = _lanczos_expm_column(
-            matvec, states[:, col], duration, tol, cap
-        )
-    return out
-
-
 def _chebyshev_coefficients(
     span: float, tol: float
 ) -> np.ndarray:
@@ -908,7 +734,7 @@ def chebyshev_expm_multiply(
     kernel: HamiltonianKernel,
     states: np.ndarray,
     duration: float,
-    tol: float = DEFAULT_LANCZOS_TOL,
+    tol: float = DEFAULT_EXPM_TOL,
 ) -> np.ndarray:
     """``exp(−i H t) @ states`` by Chebyshev expansion, matrix-free.
 
@@ -980,16 +806,14 @@ def expm_multiply_matrix_free(
     duration: float,
     num_qubits: int,
     cache: bool = True,
-    tol: float = DEFAULT_LANCZOS_TOL,
+    tol: float = DEFAULT_EXPM_TOL,
 ) -> np.ndarray:
     """``exp(−i H t) @ states`` without ever materializing ``H``.
 
     Builds (or reuses) the :class:`HamiltonianKernel` for
     ``hamiltonian``: all-Z kernels collapse to a phase multiply, every
-    other segment takes the Chebyshev recurrence (which beat the
-    Lanczos propagator on single columns at every phase span measured,
-    N = 8–14, spans 2–20).  This is the ``backend="matrix_free"`` entry
-    point of the evolution engine.
+    other segment takes the Chebyshev recurrence.  This is the
+    ``backend="matrix_free"`` entry point of the evolution engine.
     """
     kernel = hamiltonian_kernel(hamiltonian, num_qubits, cache=cache)
     return kernel_expm_multiply(kernel, states, duration, tol=tol)
@@ -999,7 +823,7 @@ def kernel_expm_multiply(
     kernel: HamiltonianKernel,
     states: np.ndarray,
     duration: float,
-    tol: float = DEFAULT_LANCZOS_TOL,
+    tol: float = DEFAULT_EXPM_TOL,
 ) -> np.ndarray:
     """``exp(−i H t) @ states`` for a built kernel: all-Z kernels
     collapse to a phase multiply, every other one takes the Chebyshev

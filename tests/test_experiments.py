@@ -197,10 +197,10 @@ class TestSpecValidation:
 class TestCompilerPassesSection:
     def test_passes_section_canonicalized_and_hashable(self):
         spec = _spec(
-            compiler={"passes": {"enable": ["term_fusion"]}}
+            compiler={"passes": {"enable": ["schedule_compaction"]}}
         )
         assert dict(spec.compiler)["passes"] == (
-            ("enable", ("term_fusion",)),
+            ("enable", ("schedule_compaction",)),
         )
         hash(spec.compiler)  # must stay usable as a batch-job cache key
 
@@ -208,14 +208,14 @@ class TestCompilerPassesSection:
         spec = _spec(
             compiler={
                 "passes": {
-                    "enable": ["term_fusion", "schedule_compaction"],
+                    "enable": ["schedule_compaction"],
                     "disable": ["refinement"],
                 }
             }
         )
         data = spec.to_dict()
         assert data["compiler"]["passes"] == {
-            "enable": ["term_fusion", "schedule_compaction"],
+            "enable": ["schedule_compaction"],
             "disable": ["refinement"],
         }
         again = ExperimentSpec.from_dict(data)
@@ -249,14 +249,14 @@ class TestCompilerPassesSection:
 
     def test_passes_flow_into_job_records(self, tmp_path):
         spec = _spec(
-            compiler={"passes": {"enable": ["term_fusion"]}},
+            compiler={"passes": {"enable": ["schedule_compaction"]}},
             device="heisenberg",
         )
         result = run_experiment(spec, tmp_path / "run")
         assert result.all_ok
         record = result.records[0]
         names = [e["name"] for e in record["compile"]["passes"]]
-        assert names[0] == "term_fusion"
+        assert names[-2] == "schedule_compaction"
         assert "stage_timings" in record["compile"]
         report = generate_report(tmp_path / "run")
         assert "mean_pass_seconds" in report.payload["aggregates"]

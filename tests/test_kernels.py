@@ -25,7 +25,6 @@ from repro.sim import (
     expm_multiply_matrix_free,
     hamiltonian_kernel,
     kernel_cache_stats,
-    lanczos_expm_multiply,
     select_backend,
     simulation_cache_stats,
 )
@@ -158,15 +157,6 @@ class TestPauliApplication:
             assert lo <= eigenvalues.min() + 1e-9
             assert hi >= eigenvalues.max() - 1e-9
         del rng
-
-    def test_linear_operator_wrapper(self):
-        rng = np.random.default_rng(6)
-        h = random_hamiltonian(rng, 3)
-        state = random_block(rng, 3, 1)[:, 0]
-        operator = HamiltonianKernel(h, 3).as_linear_operator()
-        expected = hamiltonian_matrix(h, 3).toarray() @ state
-        assert np.allclose(operator.matvec(state), expected, atol=ATOL)
-        assert np.allclose(operator.rmatvec(state), expected, atol=ATOL)
 
 
 def per_term_apply(h: Hamiltonian, states: np.ndarray, n: int) -> np.ndarray:
@@ -465,7 +455,7 @@ class TestMatrixFreePropagators:
         reference = exact_evolve(state, h, 0.8, n)
         assert np.allclose(mf, reference, atol=ATOL)
 
-    def test_chebyshev_and_lanczos_agree_with_expm(self):
+    def test_chebyshev_agrees_with_expm(self):
         rng = np.random.default_rng(11)
         n = 5
         h = random_hamiltonian(rng, n)
@@ -476,9 +466,6 @@ class TestMatrixFreePropagators:
         )
         assert np.allclose(
             chebyshev_expm_multiply(kernel, block, 1.3), reference, atol=1e-9
-        )
-        assert np.allclose(
-            lanczos_expm_multiply(kernel, block, 1.3), reference, atol=1e-9
         )
 
     def test_long_duration_large_span(self):
@@ -505,7 +492,7 @@ class TestMatrixFreePropagators:
         state = np.zeros(8, dtype=complex)
         state[0] = 1.0
         with pytest.raises(SimulationError):
-            lanczos_expm_multiply(
+            chebyshev_expm_multiply(
                 hamiltonian_kernel(zz(0, 1), 3), state, -1.0
             )
 

@@ -5,9 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.aais import HeisenbergAAIS, RydbergAAIS
-from repro.aais.base import AAIS, Instruction
-from repro.aais.channels import ScaledVariableChannel
-from repro.aais.variables import Variable, VariableKind
 from repro.core import QTurboCompiler
 from repro.core.pipeline import (
     DEFAULT_PASSES,
@@ -25,27 +22,8 @@ from repro.core.pipeline import (
 from repro.devices import paper_example_spec
 from repro.errors import CompilationError
 from repro.hamiltonian import Hamiltonian, parse_hamiltonian
-from repro.hamiltonian.pauli import PauliString
 from repro.hamiltonian.time_dependent import PiecewiseHamiltonian, Segment
 from repro.models import ising_chain
-
-
-def _drive_aais(term_rows, num_sites=2, name="toy"):
-    """An AAIS of independent single-variable drives with given rows."""
-    instructions = []
-    for index, terms in enumerate(term_rows):
-        variable = Variable(
-            name=f"a{index}",
-            kind=VariableKind.DYNAMIC,
-            lower=-5.0,
-            upper=5.0,
-            time_critical=True,
-        )
-        channel = ScaledVariableChannel(
-            name=f"drive{index}", variable=variable, scale=1.0, terms=terms
-        )
-        instructions.append(Instruction(f"drive{index}", [channel]))
-    return AAIS(name, num_sites, instructions)
 
 
 class TestPassManagerAndConfig:
@@ -58,13 +36,37 @@ class TestPassManagerAndConfig:
             assert name in PASS_REGISTRY
 
     def test_enable_inserts_at_canonical_positions(self):
-        config = normalize_passes_config(
-            {"enable": ["term_fusion", "schedule_compaction"]}
-        )
+        config = normalize_passes_config({"enable": ["schedule_compaction"]})
         names = resolve_pass_names(config)
-        assert names[0] == "term_fusion"
+        assert names[0] == "build_linear_system"
         assert names[-1] == "emit_schedule"
         assert names[-2] == "schedule_compaction"
+
+    def test_retired_term_fusion_rejected_by_name(self, capsys):
+        from repro.cli import main
+
+        for section in ("enable", "disable", "order"):
+            with pytest.raises(
+                CompilationError,
+                match="unknown compiler pass 'term_fusion'; known passes",
+            ):
+                normalize_passes_config({section: ["term_fusion"]})
+        code = main(
+            [
+                "compile",
+                "--model",
+                "ising_chain",
+                "-n",
+                "3",
+                "--enable-pass",
+                "term_fusion",
+            ]
+        )
+        assert code == 2
+        assert (
+            "unknown compiler pass 'term_fusion'"
+            in capsys.readouterr().err
+        )
 
     def test_unknown_pass_rejected(self):
         with pytest.raises(CompilationError, match="unknown compiler pass"):
@@ -72,7 +74,7 @@ class TestPassManagerAndConfig:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(CompilationError, match="unknown compiler.passes"):
-            normalize_passes_config({"enabled": ["term_fusion"]})
+            normalize_passes_config({"enabled": ["schedule_compaction"]})
 
     def test_default_pass_cannot_be_enabled(self):
         with pytest.raises(CompilationError, match="default pipeline"):
@@ -110,13 +112,13 @@ class TestPassManagerAndConfig:
         )
 
     def test_pair_tuple_form_round_trips(self):
-        config = normalize_passes_config({"enable": ["term_fusion"]})
+        config = normalize_passes_config({"enable": ["schedule_compaction"]})
         again = normalize_passes_config(config.as_pairs())
         assert again == config
         compiler = QTurboCompiler(
             HeisenbergAAIS(2), passes=config.as_pairs()
         )
-        assert compiler.pass_names[0] == "term_fusion"
+        assert compiler.pass_names[-2] == "schedule_compaction"
 
     def test_prebuilt_pass_manager_accepted(self):
         manager = build_pipeline(PipelineConfig())
@@ -255,83 +257,6 @@ class TestSystemCacheLRU:
         assert stats["partition"] == {"hits": 1, "misses": 1}
 
 
-class TestTermFusionPass:
-    def test_dead_dynamic_channels_pruned_identically(self):
-        aais = HeisenbergAAIS(4)
-        target = ising_chain(4)
-        plain = QTurboCompiler(aais).compile(target, 1.0)
-        fused = QTurboCompiler(
-            aais, passes={"enable": ["term_fusion"]}
-        ).compile(target, 1.0)
-        trace = {e["name"]: e for e in fused.pass_trace}
-        plain_trace = {e["name"]: e for e in plain.pass_trace}
-        assert trace["term_fusion"]["diagnostics"]["pruned_channels"] > 0
-        assert fused.schedule.to_dict() == plain.schedule.to_dict()
-        assert fused.relative_error == pytest.approx(plain.relative_error)
-        # The fused system is strictly smaller.
-        assert (
-            trace["build_linear_system"]["diagnostics"]["rows"]
-            < plain_trace["build_linear_system"]["diagnostics"]["rows"]
-        )
-        assert (
-            trace["build_linear_system"]["diagnostics"]["cols"]
-            < plain_trace["build_linear_system"]["diagnostics"]["cols"]
-        )
-
-    def test_fixed_channels_never_pruned(self):
-        aais = RydbergAAIS(3, spec=paper_example_spec())
-        fused = QTurboCompiler(aais, passes={"enable": ["term_fusion"]})
-        result = fused.compile(parse_hamiltonian("X0 + X1 + X2"), 1.0)
-        assert result.success
-        # Van der Waals positions are still solved and still validated.
-        assert any("pos" in k or "x_" in k for k in result.schedule.fixed_values)
-
-    def test_proportional_rows_fused(self):
-        # Two channels drive (X0, X1) in exact lockstep: X1 = 2·X0.
-        aais = _drive_aais(
-            [
-                {
-                    PauliString.single("X", 0): 1.0,
-                    PauliString.single("X", 1): 2.0,
-                },
-                {
-                    PauliString.single("X", 0): 0.5,
-                    PauliString.single("X", 1): 1.0,
-                },
-            ]
-        )
-        target = parse_hamiltonian("0.3*X0 + 0.6*X1")
-        plain = QTurboCompiler(aais).compile(target, 1.0)
-        fused = QTurboCompiler(
-            aais, passes={"enable": ["term_fusion"]}
-        ).compile(target, 1.0)
-        trace = {e["name"]: e for e in fused.pass_trace}
-        assert trace["term_fusion"]["diagnostics"]["fused_groups"] == 1
-        assert trace["term_fusion"]["diagnostics"]["fused_terms"] == 1
-        assert trace["build_linear_system"]["diagnostics"]["rows"] == 1
-        # Fusion preserves the least-squares optimum.
-        for ours, ref in zip(fused.segments, plain.segments):
-            assert ours.duration == pytest.approx(ref.duration)
-            for name, value in ref.values.items():
-                assert ours.values[name] == pytest.approx(value, abs=1e-9)
-
-    def test_fusion_noop_on_fully_targeted_system(self):
-        aais = _drive_aais(
-            [
-                {PauliString.single("X", 0): 1.0},
-                {PauliString.single("Z", 0): 1.0},
-            ],
-            num_sites=1,
-        )
-        target = parse_hamiltonian("0.5*X0 + 0.25*Z0")
-        fused = QTurboCompiler(
-            aais, passes={"enable": ["term_fusion"]}
-        ).compile(target, 1.0)
-        trace = {e["name"]: e for e in fused.pass_trace}
-        assert trace["term_fusion"]["diagnostics"]["pruned_channels"] == 0
-        assert trace["term_fusion"]["diagnostics"]["fused_groups"] == 0
-
-
 class TestScheduleCompactionPass:
     def _piecewise_with_idle(self, n=3):
         drive = ising_chain(n)
@@ -447,12 +372,12 @@ class TestCLIExplain:
                 "heisenberg",
                 "--explain",
                 "--enable-pass",
-                "term_fusion",
+                "schedule_compaction",
             ]
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "term_fusion" in out
+        assert "schedule_compaction" in out
 
     def test_compile_bad_pass_is_usage_error(self, capsys):
         from repro.cli import main
