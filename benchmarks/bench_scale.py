@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Scale benchmark for the matrix-free simulation backend.
+"""Scale benchmark for the matrix-free simulation path.
 
 Measures how far the simulation layer reaches past the operator
 materialization cap:
@@ -7,10 +7,11 @@ materialization cap:
 * ``agreement`` — dense vs matrix-free evolution on random mixed-Pauli
   workloads at small N; states and observable estimates must agree to
   ≤1e-8 (they land around 1e-12).
-* ``evolve`` — single-shot Ising-cycle evolution vs N under the auto
-  backend, with wall-clock and Python-allocation peak (tracemalloc,
-  which tracks numpy buffers) per point; the full run tops out at a
-  2^20-dimensional state inside the configured memory budget.
+* ``evolve`` — single-shot Ising-cycle evolution vs N on the path the
+  engine picks (read back from its fast-path counters), with wall-clock
+  and Python-allocation peak (tracemalloc, which tracks numpy buffers)
+  per point; the full run tops out at a 2^20-dimensional state inside
+  the configured memory budget.
 
 Writes ``BENCH_scale.json`` (shared schema fields: ``benchmark``,
 ``quick``, ``runs``) and exits non-zero when a gate fails: dense /
@@ -42,7 +43,6 @@ from repro.sim import (
     clear_simulation_caches,
     evolve,
     ground_state,
-    select_backend,
     simulation_cache_stats,
 )
 from repro.sim.observables import z_average
@@ -89,7 +89,7 @@ def bench_agreement(trials: int) -> Dict[str, object]:
         state = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         state /= np.linalg.norm(state)
         reference, matrix_free = (
-            evolve(state, h, duration, n, cache=False, backend=backend)
+            evolve(state, h, duration, n, backend=backend)
             for backend in ("dense", "matrix_free")
         )
         max_state = max(
@@ -110,21 +110,24 @@ def bench_agreement(trials: int) -> Dict[str, object]:
 
 
 def bench_evolve(sizes: List[int], duration: float) -> Dict[str, object]:
-    """Single-shot Ising-cycle evolution vs N under the auto backend."""
+    """Single-shot Ising-cycle evolution vs N on the engine's own path."""
     points = []
     for n in sizes:
         h = ising_cycle(n)
-        backend = select_backend(h, n)
         clear_operator_cache()
         clear_simulation_caches()
         state, seconds, peak = _timed_with_peak(
             lambda h=h, n=n: evolve(ground_state(n), h, duration, n)
         )
+        # The counters were reset just before, so they hold this call's
+        # columns: the path is the one that counted any.
+        paths = simulation_cache_stats()["fast_paths"]
+        path = "+".join(name for name, columns in paths.items() if columns)
         points.append(
             {
                 "num_qubits": n,
                 "terms": h.num_terms,
-                "backend": backend,
+                "path": path,
                 "seconds": seconds,
                 "peak_alloc_mib": peak / 2**20,
                 "norm_error": abs(float(np.linalg.norm(state)) - 1.0),
@@ -132,7 +135,7 @@ def bench_evolve(sizes: List[int], duration: float) -> Dict[str, object]:
         )
         print(
             f"  evolve N={n:>2d}: {seconds:7.2f}s  "
-            f"peak {peak / 2**20:7.1f} MiB  [{backend}]"
+            f"peak {peak / 2**20:7.1f} MiB  [{path}]"
         )
     return {
         "workload": "evolve",

@@ -64,7 +64,7 @@ from repro.core import QTurboCompiler
 from repro.hamiltonian import Hamiltonian, parse_hamiltonian
 from repro.models import build_model, model_names
 from repro.sim.operators import operator_cache_stats
-from repro.sim.propagators import BACKEND_NAMES, simulation_cache_stats
+from repro.sim.propagators import simulation_cache_stats
 
 __all__ = ["main", "build_parser"]
 
@@ -184,13 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate_cmd.add_argument(
         "--seed", type=int, default=0, help="simulator RNG seed"
-    )
-    simulate_cmd.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default="auto",
-        help="evolution backend; 'auto' picks per segment, "
-        "'matrix_free' scales past the operator-materialization cap",
     )
     simulate_cmd.add_argument(
         "--zne",
@@ -620,13 +613,11 @@ def _command_simulate(args: argparse.Namespace) -> int:
     simulator = NoisySimulator(
         noise_samples=args.noise_samples,
         seed=args.seed,
-        backend=args.backend,
     )
     payload = {
         "workload": result.summary(),
         "shots": args.shots,
         "noise_samples": args.noise_samples,
-        "backend": args.backend,
     }
     tick = time.perf_counter()
     if args.zne:

@@ -120,7 +120,6 @@ def _simulation_sections(
         noise=noise,
         noise_samples=sim.noise_samples,
         seed=seed,
-        backend=sim.backend,
     )
     sections: Dict[str, object] = {}
     if spec.zne is not None:

@@ -26,7 +26,6 @@ from repro.batch.executors import EXECUTOR_NAMES
 from repro.errors import ExperimentError
 from repro.models.registry import model_names, time_dependent_model_names
 from repro.sim.noise import NoiseParameters
-from repro.sim.propagators import BACKEND_NAMES
 
 __all__ = [
     "DEVICE_CHOICES",
@@ -105,8 +104,12 @@ def _as_int(value: object, where: str) -> int:
 
 
 def _check_keys(section: Mapping, allowed: Sequence[str], where: str) -> None:
-    """Reject unknown keys so typos fail loudly instead of being ignored."""
-    unknown = sorted(set(section) - set(allowed))
+    """Reject unknown keys so typos fail loudly instead of being ignored.
+
+    Section keys are named by their dotted path (``simulation.backend``).
+    """
+    prefix = "" if where == "spec" else f"{where}."
+    unknown = [prefix + key for key in sorted(set(section) - set(allowed))]
     _require(
         not unknown,
         f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}",
@@ -213,19 +216,14 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    """Noisy Monte-Carlo execution settings (maps to ``NoisySimulator``).
-
-    ``backend`` selects the evolution engine
-    (``auto|dense|matrix_free``); ``auto`` picks per segment and
-    ``matrix_free`` forces the Pauli-kernel path that scales past the
-    operator-materialization cap (see ``docs/performance.md``).
+    """Noisy Monte-Carlo execution settings (maps to ``NoisySimulator``,
+    which picks the evolution path itself; see ``docs/performance.md``).
     """
 
     shots: int = 1000
     noise_samples: int = 20
     seed: int = 0
     periodic: bool = True
-    backend: str = "auto"
     noise: Tuple[Tuple[str, object], ...] = ()
 
     @classmethod
@@ -238,16 +236,9 @@ class SimulationSpec:
                 "noise_samples",
                 "seed",
                 "periodic",
-                "backend",
                 "noise",
             ),
             "simulation",
-        )
-        backend = section.get("backend", "auto")
-        _require(
-            backend in BACKEND_NAMES,
-            f"simulation.backend must be one of {BACKEND_NAMES}, "
-            f"got {backend!r}",
         )
         shots = section.get("shots", 1000)
         noise_samples = section.get("noise_samples", 20)
@@ -270,7 +261,6 @@ class SimulationSpec:
             noise_samples=noise_samples,
             seed=_as_int(section.get("seed", 0), "simulation.seed"),
             periodic=bool(section.get("periodic", True)),
-            backend=backend,
             noise=_pairs(noise),
         )
 
@@ -282,10 +272,6 @@ class SimulationSpec:
             "seed": self.seed,
             "periodic": self.periodic,
         }
-        # The default backend is omitted so pre-existing specs keep
-        # their spec hash (and thus their resumable run directories).
-        if self.backend != "auto":
-            out["backend"] = self.backend
         if self.noise:
             out["noise"] = dict(self.noise)
         return out
@@ -753,7 +739,6 @@ _SWEEPABLE_EXACT = frozenset(
         "simulation.noise_samples",
         "simulation.seed",
         "simulation.periodic",
-        "simulation.backend",
         "zne.factors",
         "digital.epsilon",
         "baseline.seed",

@@ -129,11 +129,8 @@ def zne_observables(
     All stretch replicas are built up front and dispatched through
     :meth:`NoisySimulator.run_many`, so each one rides the simulator's
     vectorized block-evolution path (every replica's noise realizations
-    evolve as one ``(2^N, k)`` state block).  The simulator's
-    ``backend`` selector rides along too: a
-    ``NoisySimulator(backend="matrix_free")`` (or ``auto`` on a large
-    register) runs the whole extrapolation without materializing a
-    single operator matrix.
+    evolve as one ``(2^N, k)`` state block, matrix-free at every register
+    size, so no operator matrix is ever materialized).
     """
     if not factors:
         raise SimulationError("need at least one stretch factor")

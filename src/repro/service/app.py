@@ -208,6 +208,14 @@ class ServiceState:
                 return ExperimentSpec.from_dict(spec_dict)
             except ReproError as error:
                 raise ServiceError(400, f"invalid spec: {error}") from None
+        if "backend" in request:
+            raise ServiceError(
+                400,
+                "'backend' is not a request key: the simulator picks the "
+                "evolution path itself",
+            )
+        if kind == "simulate":
+            _check_simulate_options(request)
         try:
             return self._workload_job(request, digest)
         except ReproError as error:
@@ -310,14 +318,13 @@ class ServiceState:
         payload = _compile_payload(result)
         if result.success and result.schedule is not None:
             simulator = NoisySimulator(
-                noise_samples=int(request.get("noise_samples", 20)),
-                seed=int(request.get("seed", 0)),
-                backend=request.get("backend", "auto"),
+                noise_samples=request.get("noise_samples", 20),
+                seed=request.get("seed", 0),
             )
             payload["observables"] = simulator.observables(
-                result.schedule, shots=int(request.get("shots", 1000))
+                result.schedule, shots=request.get("shots", 1000)
             )
-            payload["shots"] = int(request.get("shots", 1000))
+            payload["shots"] = request.get("shots", 1000)
         self._finish(job, payload)
 
     def _execute_run(self, job: Job) -> None:
@@ -357,6 +364,23 @@ class ServiceState:
     def close(self) -> None:
         """Drain and stop the queue worker."""
         self.queue.close()
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_simulate_options(request: Dict) -> None:
+    """Reject simulator options the queue worker could not run."""
+    for key in ("shots", "noise_samples"):
+        value = request.get(key, 1)
+        if not _is_int(value) or value < 1:
+            raise ServiceError(
+                400, f"'{key}' must be a positive int, got {value!r}"
+            )
+    seed = request.get("seed", 0)
+    if not _is_int(seed):
+        raise ServiceError(400, f"'seed' must be an int, got {seed!r}")
 
 
 def _canonical_request(kind: str, request: Dict) -> Dict:

@@ -2,10 +2,9 @@
 
 from repro.sim.evolution import (
     evolve,
-    evolve_block,
     evolve_piecewise,
+    evolve_realizations,
     evolve_schedule,
-    evolve_schedule_block,
     ground_state,
     plus_state,
 )
@@ -18,8 +17,6 @@ from repro.sim.kernels import (
     HamiltonianKernel,
     apply_hamiltonian,
     apply_pauli_string,
-    expm_multiply_matrix_free,
-    hamiltonian_kernel,
     kernel_cache_stats,
 )
 from repro.sim.noise import NoiseParameters, NoisySimulator, aquila_noise
@@ -40,9 +37,9 @@ from repro.sim.operators import (
 )
 from repro.sim.propagators import (
     BACKEND_NAMES,
+    DENSE_MAX_QUBITS,
     clear_simulation_caches,
     configure_simulation_caches,
-    select_backend,
     simulation_cache_stats,
 )
 from repro.sim.sampling import (
@@ -57,10 +54,9 @@ __all__ = [
     "ground_state",
     "plus_state",
     "evolve",
-    "evolve_block",
     "evolve_piecewise",
     "evolve_schedule",
-    "evolve_schedule_block",
+    "evolve_realizations",
     "expectation",
     "pauli_expectation",
     "z_average",
@@ -76,12 +72,10 @@ __all__ = [
     "clear_simulation_caches",
     "configure_simulation_caches",
     "BACKEND_NAMES",
-    "select_backend",
+    "DENSE_MAX_QUBITS",
     "HamiltonianKernel",
-    "hamiltonian_kernel",
     "apply_pauli_string",
     "apply_hamiltonian",
-    "expm_multiply_matrix_free",
     "kernel_cache_stats",
     "sample_bitstrings",
     "counts_from_samples",

@@ -52,7 +52,8 @@ rigorous spectral bounds (exact diagonal range ± the off-diagonal ℓ1
 norm).  It has a deterministic ``≈ ρ·t`` matvec count and five row
 blocks of working memory; it transposes the ``(2^N, k)`` block once on
 entry and once on exit and pushes every column through each recurrence
-step.  This is what :func:`expm_multiply_matrix_free` runs.
+step.  :func:`kernel_expm_multiply` runs it on every kernel that is
+not all-Z.
 """
 
 from __future__ import annotations
@@ -71,11 +72,10 @@ from repro.sim.operators import MatrixCache
 
 __all__ = [
     "HamiltonianKernel",
-    "hamiltonian_kernel",
+    "row_kernel",
     "apply_pauli_string",
     "apply_hamiltonian",
     "chebyshev_expm_multiply",
-    "expm_multiply_matrix_free",
     "kernel_expm_multiply",
     "kernel_cache_stats",
     "clear_kernel_caches",
@@ -642,23 +642,20 @@ class HamiltonianKernel:
         )
 
 
-def hamiltonian_kernel(
-    hamiltonian: Hamiltonian, num_qubits: int, cache: bool = True
+def row_kernel(
+    strings: Tuple[Tuple[Tuple[int, str], ...], ...],
+    coefficients: np.ndarray,
+    num_qubits: int,
+    cache: bool,
 ) -> HamiltonianKernel:
-    """A (memoized) :class:`HamiltonianKernel` for ``hamiltonian``.
-
-    With ``cache=False`` the assembled kernel is not stored under the
-    Hamiltonian's canonical key (one-shot noise realizations), but the
-    coefficient-independent structure and sign vectors still come from
-    — and fill — the shared caches.
-    """
-    key = (hamiltonian.canonical_key(), num_qubits)
-    if cache:
-        cached = _kernel_cache.get(key)
-        if cached is not None:
-            return cached
-    kernel = HamiltonianKernel(hamiltonian, num_qubits)
-    if cache:
+    """:meth:`HamiltonianKernel.from_rows`, memoized on the rows when
+    ``cache`` is True (ideal evolution, whose rows recur)."""
+    if not cache:
+        return HamiltonianKernel.from_rows(strings, coefficients, num_qubits)
+    key = (strings, coefficients.tobytes(), num_qubits)
+    kernel = _kernel_cache.get(key)
+    if kernel is None:
+        kernel = HamiltonianKernel.from_rows(strings, coefficients, num_qubits)
         _kernel_cache.put(key, kernel)
     return kernel
 
@@ -693,8 +690,8 @@ def apply_pauli_string(
 def apply_hamiltonian(
     hamiltonian: Hamiltonian, states: np.ndarray, num_qubits: int
 ) -> np.ndarray:
-    """``H @ states`` through a (cached) matrix-free kernel."""
-    return hamiltonian_kernel(hamiltonian, num_qubits).apply(states)
+    """``H @ states`` through a matrix-free kernel."""
+    return HamiltonianKernel(hamiltonian, num_qubits).apply(states)
 
 
 def _chebyshev_coefficients(
@@ -798,25 +795,6 @@ def chebyshev_expm_multiply(
     )
     out *= np.exp(-1j * shift * duration)
     return out
-
-
-def expm_multiply_matrix_free(
-    hamiltonian: Hamiltonian,
-    states: np.ndarray,
-    duration: float,
-    num_qubits: int,
-    cache: bool = True,
-    tol: float = DEFAULT_EXPM_TOL,
-) -> np.ndarray:
-    """``exp(−i H t) @ states`` without ever materializing ``H``.
-
-    Builds (or reuses) the :class:`HamiltonianKernel` for
-    ``hamiltonian``: all-Z kernels collapse to a phase multiply, every
-    other segment takes the Chebyshev recurrence.  This is the
-    ``backend="matrix_free"`` entry point of the evolution engine.
-    """
-    kernel = hamiltonian_kernel(hamiltonian, num_qubits, cache=cache)
-    return kernel_expm_multiply(kernel, states, duration, tol=tol)
 
 
 def kernel_expm_multiply(

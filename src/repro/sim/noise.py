@@ -115,10 +115,9 @@ class NoisySimulator:
     seed:
         Default RNG seed (used when ``run`` is not handed an explicit
         generator).
-    backend:
-        Evolution backend (``auto|dense|matrix_free``, see
-        :mod:`repro.sim.evolution`).  ``auto`` picks per segment from
-        the register size and term structure.
+
+    The evolution path is picked per segment by
+    :func:`repro.sim.evolution.evolve_realizations`, not by the caller.
     """
 
     def __init__(
@@ -126,21 +125,12 @@ class NoisySimulator:
         noise: NoiseParameters = None,
         noise_samples: int = 20,
         seed: int = 0,
-        backend: str = "auto",
     ):
         if noise_samples < 1:
             raise SimulationError("noise_samples must be >= 1")
-        from repro.sim.propagators import BACKEND_NAMES
-
-        if backend not in BACKEND_NAMES:
-            raise SimulationError(
-                f"unknown backend {backend!r}; expected one of "
-                f"{BACKEND_NAMES}"
-            )
         self.noise = noise if noise is not None else aquila_noise()
         self.noise_samples = int(noise_samples)
         self.seed = int(seed)
-        self.backend = backend
 
     # ------------------------------------------------------------------
     def _draw_override_batch(
@@ -199,9 +189,7 @@ class NoisySimulator:
         initial = np.repeat(
             ground_state(schedule.aais.num_sites)[:, None], count, axis=1
         )
-        return evolve_realizations(
-            initial, schedule, overrides, backend=self.backend
-        )
+        return evolve_realizations(initial, schedule, overrides)
 
     def _sample_and_corrupt(
         self,

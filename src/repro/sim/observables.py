@@ -19,7 +19,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.hamiltonian.expression import Hamiltonian
 from repro.hamiltonian.pauli import PauliString
-from repro.sim.kernels import apply_pauli_string, hamiltonian_kernel
+from repro.sim.kernels import HamiltonianKernel, apply_pauli_string
 
 __all__ = [
     "expectation",
@@ -61,8 +61,8 @@ def _z_expectation(
 def expectation(state: np.ndarray, hamiltonian: Hamiltonian) -> float:
     """``⟨ψ| H |ψ⟩`` (real by Hermiticity), through the Pauli kernel."""
     num_qubits = _num_qubits_of(state)
-    kernel = hamiltonian_kernel(hamiltonian, num_qubits, cache=False)
-    return float(np.real(np.vdot(state, kernel.apply(state))))
+    applied = HamiltonianKernel(hamiltonian, num_qubits).apply(state)
+    return float(np.real(np.vdot(state, applied)))
 
 
 def pauli_expectation(state: np.ndarray, string: PauliString) -> float:

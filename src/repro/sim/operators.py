@@ -67,9 +67,10 @@ def configure_operator_limits(max_qubits: Optional[int] = None) -> None:
     """Adjust the materialization cap (``None`` leaves it unchanged).
 
     Raising the cap trades memory for the ability to build explicit
-    matrices on larger registers; consider the matrix-free backend
-    (``backend="matrix_free"``) before doing so — it scales past the cap
-    without ever allocating a ``2^N × 2^N`` operator.
+    matrices on larger registers; consider the matrix-free path
+    (``backend="matrix_free"`` on the ``evolve*`` functions) before
+    doing so — it scales past the cap without ever allocating a
+    ``2^N × 2^N`` operator.
     """
     if max_qubits is not None:
         if max_qubits < 1:
@@ -118,16 +119,6 @@ class MatrixCache:
             self._data.move_to_end(key)
             self.hits += 1
             return value
-
-    def peek(self, key: object) -> Optional[object]:
-        """Read a value without touching statistics or LRU order.
-
-        For probes that cannot follow a miss with a store (e.g. the
-        propagator cache above its build threshold) and must not
-        distort this cache's hit/miss accounting.
-        """
-        with self._lock:
-            return self._data.get(key)
 
     def put(self, key: object, value: object) -> None:
         if self.maxsize <= 0:
@@ -213,10 +204,10 @@ def _check_size(num_qubits: int) -> None:
         raise SimulationError(
             f"refusing to materialize a 2^{num_qubits}-dimensional "
             f"operator matrix (configurable cap: {cap} qubits). Use the "
-            f"matrix-free backend instead — backend='matrix_free' on the "
-            f"sim.evolve* functions / NoisySimulator, or "
-            f"'simulation.backend: matrix_free' in an experiment spec — "
-            f"which applies Pauli kernels without building the matrix; "
+            f"matrix-free path instead — the sim.evolve* functions and "
+            f"NoisySimulator take it on their own on large registers "
+            f"(backend='matrix_free' forces it) and apply Pauli kernels "
+            f"without building the matrix; "
             f"or raise the cap explicitly via "
             f"repro.sim.operators.configure_operator_limits(max_qubits=...)"
         )

@@ -1,31 +1,24 @@
-"""Backend selection and dense fast paths of the simulation engine.
+"""Dense propagators and shared settings of the simulation engine.
 
-:func:`select_backend` picks one of three evolution backends per
-segment: ``diagonal`` (all-Z Hamiltonians, any size), ``dense`` (small
-registers) and ``matrix_free`` (the Pauli-kernel Chebyshev propagator of
-:mod:`repro.sim.kernels`, everything else).  Three mechanisms make the
-first two cheap:
+:func:`repro.sim.evolution._evolve_rows` picks one of three paths per
+segment: ``diagonal`` (all-Z support, any size), ``dense`` (ideal
+evolution at N ≤ :data:`DENSE_MAX_QUBITS`) and ``matrix_free`` (the
+Pauli-kernel Chebyshev propagator of :mod:`repro.sim.kernels`,
+everything else).  This module holds the dense half:
 
-* **diagonal evolution** — a Hamiltonian whose every term is built from
-  Z operators (detuning-only Rydberg segments, vdW interactions, Ising
-  couplings) is diagonal in the computational basis, so
-  ``exp(−i H t) |ψ⟩`` is an elementwise phase multiply.  The diagonal
-  vectors are memoized per Hamiltonian.
-* **dense batch assembly** — the propagator-cache misses of an ideal
-  block on a small register, and noise realizations under a forced
-  ``backend="dense"``, are built in a single BLAS call (coefficient
+* **dense assembly** — the Hamiltonians of one segment are coefficient
+  rows over one Pauli support, built in a single BLAS call (coefficient
   matrix × flattened string stack) and exponentiated with one batched
-  :func:`scipy.linalg.expm`.  ``auto`` sends noise realizations
-  matrix-free at every size: the ``expm`` of a one-shot Hamiltonian
-  is never reused.
-* **propagator cache** — the dense unitary ``exp(−i H t)`` of a
-  recurring ``(Hamiltonian, duration)`` pair is memoized, so repeated
-  segments across shots, stretch factors, and batch jobs collapse to a
-  single matmul.
+  :func:`scipy.linalg.expm`;
+* **propagator cache** — the dense unitary ``exp(−i H t)`` of an ideal
+  segment is memoized on ``(support, coefficient row, duration, N)``,
+  so a schedule evolved again (repeated verification, batch jobs,
+  benchmark loops) costs one matmul per segment.
 
-All caches reuse the thread-safe LRU of :class:`repro.sim.operators
-.MatrixCache`; statistics are exposed through
-:func:`simulation_cache_stats` next to the operator-cache stats.
+It also keeps the fast-path column counters, the matrix-free memory
+budget and the cache statistics (:func:`simulation_cache_stats`).  All
+caches reuse the thread-safe LRU of :class:`repro.sim.operators
+.MatrixCache`.
 """
 
 from __future__ import annotations
@@ -40,7 +33,6 @@ from repro.errors import SimulationError
 from repro.hamiltonian.expression import Hamiltonian
 from repro.sim.kernels import (
     TAIL_QUBITS,
-    _structure_for,
     clear_kernel_caches,
     configure_kernel_caches,
     kernel_cache_stats,
@@ -52,18 +44,11 @@ from repro.sim.operators import (
 )
 
 __all__ = [
-    "is_diagonal_hamiltonian",
-    "diagonal_vector",
-    "dense_hamiltonian",
+    "DENSE_MAX_QUBITS",
     "dense_stack",
     "coefficient_rows",
-    "propagator",
     "batched_propagators",
-    "cached_propagator",
-    "store_propagator",
-    "propagator_max_qubits",
-    "propagator_build_max_qubits",
-    "select_backend",
+    "cached_row_propagator",
     "matrix_free_block_columns",
     "memory_budget_bytes",
     "BACKEND_NAMES",
@@ -75,34 +60,25 @@ __all__ = [
 
 #: Default cache capacities (entries).
 DEFAULT_PROPAGATOR_CACHE_SIZE = 256
-DEFAULT_DIAGONAL_CACHE_SIZE = 1024
 DEFAULT_DENSE_STRING_CACHE_SIZE = 2048
 
-#: Registers larger than this never take the dense-propagator path:
-#: a 2^N × 2^N unitary stops paying for itself around N = 10.
-DEFAULT_PROPAGATOR_MAX_QUBITS = 10
-
-#: Dense ``expm`` is only *built* on a cache miss up to this size;
-#: above it a miss goes matrix-free and only cache *hits* use the
-#: dense path.
-DEFAULT_PROPAGATOR_BUILD_MAX_QUBITS = 7
+#: Ideal evolution takes the cached dense propagator up to this register
+#: size and runs matrix-free above it, where building the ``2^N × 2^N``
+#: unitary costs more than the Chebyshev recurrence it would replace.
+DENSE_MAX_QUBITS = 7
 
 #: Working-set budget (bytes) of the matrix-free path: it sizes the
 #: column chunks of wide blocks.
 DEFAULT_MEMORY_BUDGET_BYTES = 512 * 2**20
 
-#: The selectable evolution backends (``auto`` resolves per segment).
+#: The evolution backends (``auto`` resolves per segment; the other two
+#: force one path and serve as the tests' reference).
 BACKEND_NAMES = ("auto", "dense", "matrix_free")
 
 _propagator_cache = MatrixCache(DEFAULT_PROPAGATOR_CACHE_SIZE)
-_diagonal_cache = MatrixCache(DEFAULT_DIAGONAL_CACHE_SIZE)
 _dense_string_cache = MatrixCache(DEFAULT_DENSE_STRING_CACHE_SIZE)
 
-_limits = {
-    "propagator_max_qubits": DEFAULT_PROPAGATOR_MAX_QUBITS,
-    "propagator_build_max_qubits": DEFAULT_PROPAGATOR_BUILD_MAX_QUBITS,
-    "memory_budget_bytes": DEFAULT_MEMORY_BUDGET_BYTES,
-}
+_limits = {"memory_budget_bytes": DEFAULT_MEMORY_BUDGET_BYTES}
 
 
 class _FastPathCounters:
@@ -146,16 +122,6 @@ def record_fast_path(name: str, columns: int = 1) -> None:
     _counters.record(name, columns)
 
 
-def propagator_max_qubits() -> int:
-    """Largest register for which the dense-propagator cache is consulted."""
-    return _limits["propagator_max_qubits"]
-
-
-def propagator_build_max_qubits() -> int:
-    """Largest register for which a dense propagator is built on a miss."""
-    return _limits["propagator_build_max_qubits"]
-
-
 def memory_budget_bytes() -> int:
     """The working-set budget the matrix-free path plans against."""
     return _limits["memory_budget_bytes"]
@@ -185,26 +151,6 @@ def matrix_free_block_columns(
     return int(max(1, (budget - hamiltonian) // column))
 
 
-def select_backend(hamiltonian: Hamiltonian, num_qubits: int) -> str:
-    """Pick the evolution path for one segment.
-
-    * ``diagonal`` — every term is Z-only, at any size (a phase
-      multiply);
-    * ``dense`` — N ≤ :func:`propagator_max_qubits`; the 2^N×2^N
-      unitary is cheap and cacheable;
-    * ``matrix_free`` — otherwise: Pauli kernels plus Chebyshev, no
-      operator ever materialized.
-    """
-    if is_diagonal_hamiltonian(hamiltonian):
-        return "diagonal"
-    if num_qubits <= _limits["propagator_max_qubits"]:
-        return "dense"
-    return "matrix_free"
-
-
-# ----------------------------------------------------------------------
-# Diagonal fast path
-# ----------------------------------------------------------------------
 def _check_support(hamiltonian: Hamiltonian, num_qubits: int) -> None:
     """Reject strings touching qubits outside the register.
 
@@ -218,46 +164,6 @@ def _check_support(hamiltonian: Hamiltonian, num_qubits: int) -> None:
                 f"string {string} touches qubit {string.max_qubit()} but "
                 f"the register has only {num_qubits} qubits"
             )
-
-
-def is_diagonal_hamiltonian(hamiltonian: Hamiltonian) -> bool:
-    """True when every term is a product of Z operators (or identity)."""
-    return all(
-        label == "Z"
-        for string in hamiltonian.terms
-        for _, label in string.canonical_key
-    )
-
-
-def diagonal_vector(
-    hamiltonian: Hamiltonian, num_qubits: int, cache: bool = True
-) -> np.ndarray:
-    """Diagonal of a Z-only Hamiltonian as a real vector.
-
-    The caller must have checked :func:`is_diagonal_hamiltonian`.  With
-    ``cache=True`` the assembled vector is memoized on the Hamiltonian's
-    canonical key.  The sum over strings is one product with the sign
-    factors of the support's cached kernel structure, which recur across
-    noise realizations that only perturb coefficients.
-    """
-    key = (hamiltonian.canonical_key(), num_qubits)
-    if cache:
-        cached = _diagonal_cache.get(key)
-        if cached is not None:
-            return cached
-    _check_support(hamiltonian, num_qubits)
-    strings = hamiltonian.pauli_strings()
-    coefficients = np.array([[hamiltonian.coefficient(s) for s in strings]])
-    structure = _structure_for(
-        tuple(s.canonical_key for s in strings), num_qubits
-    )
-    diagonal = structure.diagonal_rows(coefficients)
-    diagonal = (
-        np.zeros(2**num_qubits) if diagonal is None else diagonal[0]
-    )
-    if cache:
-        _diagonal_cache.put(key, diagonal)
-    return diagonal
 
 
 # ----------------------------------------------------------------------
@@ -324,73 +230,6 @@ def dense_stack(
     return (coefficients @ basis).reshape(len(coefficients), dim, dim)
 
 
-def dense_hamiltonian(hamiltonian: Hamiltonian, num_qubits: int) -> np.ndarray:
-    """Dense matrix of one Hamiltonian via the shared string stack."""
-    return dense_stack(
-        *coefficient_rows([hamiltonian], num_qubits), num_qubits
-    )[0]
-
-
-# ----------------------------------------------------------------------
-# Propagator cache
-# ----------------------------------------------------------------------
-def _propagator_key(
-    hamiltonian: Hamiltonian, duration: float, num_qubits: int
-) -> Tuple:
-    return (hamiltonian.canonical_key(), num_qubits, float(duration))
-
-
-def cached_propagator(
-    hamiltonian: Hamiltonian,
-    duration: float,
-    num_qubits: int,
-    count_stats: bool = True,
-) -> Optional[np.ndarray]:
-    """The memoized dense unitary, or None (registers over the cap never
-    probe the cache, so they do not distort its hit rate).
-
-    ``count_stats=False`` probes without touching the hit/miss counters
-    — for callers that cannot follow a miss with a store (auto-path
-    registers above the build threshold), whose guaranteed misses would
-    otherwise dilute the reported hit rate.
-    """
-    if num_qubits > _limits["propagator_max_qubits"]:
-        return None
-    key = _propagator_key(hamiltonian, duration, num_qubits)
-    if count_stats:
-        return _propagator_cache.get(key)
-    return _propagator_cache.peek(key)
-
-
-def store_propagator(
-    hamiltonian: Hamiltonian,
-    duration: float,
-    num_qubits: int,
-    unitary: np.ndarray,
-) -> None:
-    if num_qubits <= _limits["propagator_max_qubits"]:
-        _propagator_cache.put(
-            _propagator_key(hamiltonian, duration, num_qubits), unitary
-        )
-
-
-def propagator(
-    hamiltonian: Hamiltonian,
-    duration: float,
-    num_qubits: int,
-    cache: bool = True,
-) -> np.ndarray:
-    """The dense unitary ``exp(−i H t)``, memoized when ``cache=True``."""
-    if cache:
-        cached = cached_propagator(hamiltonian, duration, num_qubits)
-        if cached is not None:
-            return cached
-    unitary = expm(-1j * duration * dense_hamiltonian(hamiltonian, num_qubits))
-    if cache:
-        store_propagator(hamiltonian, duration, num_qubits, unitary)
-    return unitary
-
-
 def batched_propagators(
     strings: Sequence[Tuple[Tuple[int, str], ...]],
     coefficients: np.ndarray,
@@ -405,6 +244,25 @@ def batched_propagators(
     if len(stack) == 1:
         return expm(stack[0])[None]
     return expm(stack)
+
+
+def cached_row_propagator(
+    strings: Tuple[Tuple[Tuple[int, str], ...], ...],
+    coefficients: np.ndarray,
+    duration: float,
+    num_qubits: int,
+) -> Tuple[np.ndarray, bool]:
+    """The dense unitary of one ``(1, S)`` coefficient row, memoized on
+    ``(strings, row, duration, N)``; returns ``(unitary, hit)``."""
+    key = (strings, coefficients.tobytes(), float(duration), num_qubits)
+    unitary = _propagator_cache.get(key)
+    if unitary is not None:
+        return unitary, True
+    unitary = batched_propagators(
+        strings, coefficients, [duration], num_qubits
+    )[0]
+    _propagator_cache.put(key, unitary)
+    return unitary, False
 
 
 # ----------------------------------------------------------------------
@@ -422,7 +280,6 @@ def simulation_cache_stats() -> Dict[str, object]:
     """
     return {
         "propagator": _propagator_cache.stats(),
-        "diagonal": _diagonal_cache.stats(),
         "dense_string": _dense_string_cache.stats(),
         "kernel": kernel_cache_stats(),
         "fast_paths": _counters.snapshot(),
@@ -433,7 +290,6 @@ def simulation_cache_stats() -> Dict[str, object]:
 def clear_simulation_caches() -> None:
     """Empty every fast-path cache (kernels included), reset counters."""
     _propagator_cache.clear()
-    _diagonal_cache.clear()
     _dense_string_cache.clear()
     clear_kernel_caches()
     _counters.reset()
@@ -441,34 +297,23 @@ def clear_simulation_caches() -> None:
 
 def configure_simulation_caches(
     propagator_maxsize: Optional[int] = None,
-    diagonal_maxsize: Optional[int] = None,
     dense_string_maxsize: Optional[int] = None,
-    propagator_max_qubits: Optional[int] = None,
-    propagator_build_max_qubits: Optional[int] = None,
     memory_budget_bytes: Optional[int] = None,
     sign_maxsize: Optional[int] = None,
     structure_maxsize: Optional[int] = None,
     kernel_maxsize: Optional[int] = None,
 ) -> None:
-    """Resize the fast-path caches / thresholds (resized caches clear).
+    """Resize the fast-path caches (resized caches clear).
 
     ``memory_budget_bytes`` sizes the matrix-free working set; the
     ``sign``/``structure``/``kernel`` sizes forward to
     :func:`repro.sim.kernels.configure_kernel_caches`.
     """
-    global _propagator_cache, _diagonal_cache, _dense_string_cache
+    global _propagator_cache, _dense_string_cache
     if propagator_maxsize is not None:
         _propagator_cache = MatrixCache(propagator_maxsize)
-    if diagonal_maxsize is not None:
-        _diagonal_cache = MatrixCache(diagonal_maxsize)
     if dense_string_maxsize is not None:
         _dense_string_cache = MatrixCache(dense_string_maxsize)
-    if propagator_max_qubits is not None:
-        _limits["propagator_max_qubits"] = int(propagator_max_qubits)
-    if propagator_build_max_qubits is not None:
-        _limits["propagator_build_max_qubits"] = int(
-            propagator_build_max_qubits
-        )
     if memory_budget_bytes is not None:
         if memory_budget_bytes < 1:
             raise SimulationError(

@@ -49,35 +49,24 @@ class TestSpecValidation:
         assert spec.simulation is None
         assert spec.num_jobs == 1
 
-    def test_simulation_backend_validated_and_round_trips(self):
-        spec = _spec(simulation=dict(_sim_section(), backend="matrix_free"))
-        assert spec.simulation.backend == "matrix_free"
-        assert spec.simulation.to_dict()["backend"] == "matrix_free"
-        with pytest.raises(ExperimentError):
-            _spec(simulation=dict(_sim_section(), backend="gpu"))
-
-    def test_default_backend_keeps_spec_hash_stable(self):
-        """Omitting the default backend must not perturb existing runs."""
-        plain = _spec(simulation=_sim_section())
-        explicit = _spec(simulation=dict(_sim_section(), backend="auto"))
-        assert plain.spec_hash == explicit.spec_hash
-        assert "backend" not in plain.simulation.to_dict()
-
-    def test_backend_is_sweepable(self):
-        spec = _spec(
-            simulation=_sim_section(),
-            sweep={"simulation.backend": ["dense", "matrix_free"]},
-        )
-        jobs = expand_sweep(spec)
-        assert [job.spec.simulation.backend for job in jobs] == [
-            "dense",
-            "matrix_free",
-        ]
+    def test_simulation_spec_hash_is_stable(self):
+        """Specs never wrote the default backend, so retiring the field
+        keeps every existing spec hash (and resumable run directory)."""
+        spec = _spec(simulation=_sim_section())
+        assert "backend" not in spec.simulation.to_dict()
+        assert spec.spec_hash == "5c1cba421bcbf58e"
 
     @pytest.mark.parametrize(
         "section, extra, field",
         [
             ({"backend": "sparse"}, {}, "simulation.backend"),
+            ({"backend": "auto"}, {}, "simulation.backend"),
+            ({"backend": "matrix_free"}, {}, "simulation.backend"),
+            (
+                {},
+                {"sweep": {"simulation.backend": ["dense", "matrix_free"]}},
+                "simulation.backend",
+            ),
             ({"vectorized": False}, {}, "vectorized"),
             (
                 {},
@@ -89,6 +78,9 @@ class TestSpecValidation:
         ],
         ids=[
             "backend-sparse",
+            "backend-auto",
+            "backend-matrix-free",
+            "sweep-backend",
             "vectorized",
             "sweep-vectorized",
             "compiler-snapshots",
@@ -96,9 +88,10 @@ class TestSpecValidation:
         ],
     )
     def test_retired_simulation_inputs_rejected(self, section, extra, field):
-        """Retired inputs fail loudly and name the key: the sparse
-        backend, the legacy-loop flag, the incremental-compilation
-        ``compiler.snapshots`` knob, and the thread executor."""
+        """Retired inputs fail loudly and name the key: the evolution
+        backend (the simulator picks the path itself), the legacy-loop
+        flag, the incremental-compilation ``compiler.snapshots`` knob,
+        and the thread executor."""
         with pytest.raises(ExperimentError, match=field):
             _spec(simulation=dict(_sim_section(), **section), **extra)
 

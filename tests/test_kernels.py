@@ -1,8 +1,8 @@
-"""The matrix-free simulation backend: Pauli kernels, the Lanczos and
-Chebyshev propagators, backend auto-selection boundaries, the
-configurable operator cap, and propagator-cache eviction.  Evolution
-references come from the ``exact_evolve`` fixture, which shares no code
-with the engine's backends."""
+"""The matrix-free simulation path: Pauli kernels, the Chebyshev
+propagator, automatic path selection, the configurable operator cap,
+and propagator-cache eviction.  Evolution references come from the
+``exact_evolve`` fixture, which shares no code with the engine's
+paths."""
 
 import json
 
@@ -21,11 +21,7 @@ from repro.sim import (
     clear_simulation_caches,
     configure_simulation_caches,
     evolve,
-    evolve_block,
-    expm_multiply_matrix_free,
-    hamiltonian_kernel,
     kernel_cache_stats,
-    select_backend,
     simulation_cache_stats,
 )
 from repro.sim.kernels import (
@@ -56,10 +52,7 @@ def fresh_caches_and_limits():
     clear_simulation_caches()
     configure_operator_limits(max_qubits=16)
     configure_simulation_caches(
-        propagator_maxsize=256,
-        propagator_max_qubits=10,
-        propagator_build_max_qubits=7,
-        memory_budget_bytes=512 * 2**20,
+        propagator_maxsize=256, memory_budget_bytes=512 * 2**20
     )
 
 
@@ -428,17 +421,16 @@ class TestMatrixFreePropagators:
         assert np.allclose(mf, reference, atol=ATOL)
         assert np.allclose(dense, reference, atol=ATOL)
 
-    @pytest.mark.parametrize("cache", [True, False])
     @pytest.mark.parametrize("columns", [1, 40])
     def test_auto_agrees_with_reference_at_12_qubits(
-        self, columns, cache, exact_evolve
+        self, columns, exact_evolve
     ):
         """N=12 is past the dense cutoff, so auto evolves matrix-free."""
         rng = np.random.default_rng(60 + columns)
         n = 12
         h = random_hamiltonian(rng, n)
         block = random_block(rng, n, columns)
-        out = evolve(block, h, 0.7, n, cache=cache)
+        out = evolve(block, h, 0.7, n)
         assert np.allclose(out, exact_evolve(block, h, 0.7, n), atol=1e-8)
         fast = simulation_cache_stats()["fast_paths"]
         assert fast["matrix_free"] == columns
@@ -459,7 +451,7 @@ class TestMatrixFreePropagators:
         rng = np.random.default_rng(11)
         n = 5
         h = random_hamiltonian(rng, n)
-        kernel = hamiltonian_kernel(h, n)
+        kernel = HamiltonianKernel(h, n)
         block = random_block(rng, n, 2)
         reference = (
             expm(-1j * 1.3 * hamiltonian_matrix(h, n).toarray()) @ block
@@ -477,50 +469,56 @@ class TestMatrixFreePropagators:
         reference = expm(
             -1j * 4.0 * hamiltonian_matrix(h, n).toarray()
         ) @ state
-        got = expm_multiply_matrix_free(h, state, 4.0, n)
+        got = evolve(state, h, 4.0, n, backend="matrix_free")
         assert np.allclose(got, reference, atol=1e-8)
 
     def test_zero_duration_and_zero_norm(self):
         state = np.zeros(8, dtype=complex)
-        out = expm_multiply_matrix_free(zz(0, 1), state, 1.0, 3)
+        out = evolve(state, zz(0, 1) + x(2), 1.0, 3, backend="matrix_free")
         assert np.allclose(out, state)
         state[0] = 1.0
-        out = expm_multiply_matrix_free(zz(0, 1), state, 0.0, 3)
+        out = evolve(state, zz(0, 1) + x(2), 0.0, 3, backend="matrix_free")
         assert np.allclose(out, state)
 
     def test_negative_duration_rejected(self):
         state = np.zeros(8, dtype=complex)
         state[0] = 1.0
         with pytest.raises(SimulationError):
-            chebyshev_expm_multiply(
-                hamiltonian_kernel(zz(0, 1), 3), state, -1.0
-            )
+            chebyshev_expm_multiply(HamiltonianKernel(zz(0, 1), 3), state, -1.0)
 
 
-class TestBackendSelection:
-    """auto: all-Z → diagonal; N ≤ propagator_max_qubits → dense;
+def fast_path_after(state, h, n):
+    """The one fast path an ideal ``evolve`` of ``state`` counted."""
+    clear_simulation_caches()
+    evolve(state, h, 0.3, n)
+    counted = simulation_cache_stats()["fast_paths"]
+    paths = [name for name, columns in counted.items() if columns]
+    assert len(paths) == 1
+    return paths[0]
+
+
+class TestPathSelection:
+    """auto: all-Z → diagonal; ideal N ≤ DENSE_MAX_QUBITS → dense;
     otherwise → matrix_free."""
 
     def test_diagonal_always_wins(self):
         h = zz(0, 1) + 0.5 * z(2)
         for n in (3, 12, 20):
-            assert select_backend(h, n) == "diagonal"
+            state = np.zeros(2**n, dtype=complex)
+            state[0] = 1.0
+            assert fast_path_after(state, h, n) == "diagonal"
 
     def test_small_registers_stay_dense(self):
         h = zz(0, 1) + x(0)
-        for n in (2, 10):
-            assert select_backend(h, n) == "dense"
+        for n in (2, 7):
+            state = random_block(np.random.default_rng(n), n, 1)[:, 0]
+            assert fast_path_after(state, h, n) == "dense_build"
 
-    def test_one_shot_large_register_goes_matrix_free(self):
+    def test_large_registers_go_matrix_free(self):
         h = zz(0, 1) + x(0)
-        for n in (11, 12, 16, 22):
-            assert select_backend(h, n) == "matrix_free"
-
-    def test_dense_cutoff_follows_propagator_max_qubits(self):
-        h = zz(0, 1) + x(0)
-        configure_simulation_caches(propagator_max_qubits=6)
-        assert select_backend(h, 6) == "dense"
-        assert select_backend(h, 7) == "matrix_free"
+        for n in (8, 10, 12, 16):
+            state = random_block(np.random.default_rng(n), n, 1)[:, 0]
+            assert fast_path_after(state, h, n) == "matrix_free"
 
     def test_wide_blocks_are_chunked_to_the_budget(self, exact_evolve):
         """A tiny budget forces column-chunked matrix-free propagation
@@ -542,17 +540,12 @@ class TestBackendSelection:
         out = evolve(block, h, 0.6, n, backend="matrix_free")
         assert np.allclose(out, reference, atol=ATOL)
 
-    def test_operator_cap_forces_matrix_free(self):
+    def test_past_the_operator_cap_runs_matrix_free(self):
         h = zz(0, 1) + x(0)
-        assert select_backend(h, max_operator_qubits() + 1) == "matrix_free"
-
-    def test_auto_evolution_uses_matrix_free_counter(self):
-        rng = np.random.default_rng(21)
-        n = 12
-        h = random_hamiltonian(rng, n)
-        state = random_block(rng, n, 1)[:, 0]
-        evolve(state, h, 0.3, n, cache=False)  # auto → matrix_free
-        assert simulation_cache_stats()["fast_paths"]["matrix_free"] >= 1
+        n = max_operator_qubits() + 1
+        state = np.zeros(2**n, dtype=complex)
+        state[0] = 1.0
+        assert fast_path_after(state, h, n) == "matrix_free"
 
     def test_conflicting_selectors_rejected(self):
         """``backend`` is the only selector; retired names are errors."""
@@ -566,27 +559,27 @@ class TestBackendSelection:
 
 
 class TestPropagatorCacheEviction:
-    def test_block_evolution_at_dense_cutoff_evicts(self, exact_evolve):
-        """A tiny propagator cache under block evolution must evict, not
-        grow — and keep producing correct states while doing so."""
+    def test_distinct_hamiltonians_evict(self, exact_evolve):
+        """A tiny propagator cache under many distinct Hamiltonians must
+        evict, not grow — and keep producing correct states."""
         configure_simulation_caches(propagator_maxsize=2)
         rng = np.random.default_rng(31)
         n = 3
-        hams = [random_hamiltonian(rng, n) for _ in range(5)]
+        hams = [random_hamiltonian(rng, n) + x(0) for _ in range(5)]
         block = random_block(rng, n, 5)
-        out = evolve_block(block, hams, 0.4, n, cache=True)
+        out = [evolve(block[:, i], h, 0.4, n) for i, h in enumerate(hams)]
         stats = simulation_cache_stats()["propagator"]
         assert stats["evictions"] >= 3
         assert stats["size"] <= 2
         for i, h in enumerate(hams):
             reference = exact_evolve(block[:, i], h, 0.4, n)
-            assert np.allclose(out[:, i], reference, atol=ATOL)
+            assert np.allclose(out[i], reference, atol=ATOL)
 
     def test_eviction_keeps_most_recent_entries_hittable(self):
         configure_simulation_caches(propagator_maxsize=1)
         rng = np.random.default_rng(32)
         n = 3
-        h = random_hamiltonian(rng, n)
+        h = random_hamiltonian(rng, n) + x(0)
         state = random_block(rng, n, 1)[:, 0]
         evolve(state, h, 0.9, n)
         before = simulation_cache_stats()["propagator"]["hits"]
@@ -635,19 +628,22 @@ class TestKernelCaches:
             h = Hamiltonian(
                 {s: float(rng.normal()) for s in strings}
             )
-            evolve(state, h, 0.3, n, cache=False, backend="matrix_free")
+            evolve(state, h, 0.3, n, backend="matrix_free")
         stats = kernel_cache_stats()["structure"]
         assert stats["misses"] == 1
-        assert stats["hits"] == 4
+        assert stats["hits"] >= 4
 
-    def test_cache_false_stores_no_kernel(self):
+    def test_ideal_kernel_is_memoized_on_its_row(self):
         rng = np.random.default_rng(52)
-        h = random_hamiltonian(rng, 3)
+        h = random_hamiltonian(rng, 3) + x(0)
         state = random_block(rng, 3, 1)[:, 0]
-        evolve(state, h, 0.4, 3, cache=False, backend="matrix_free")
-        assert kernel_cache_stats()["kernel"]["size"] == 0
-        evolve(state, h, 0.4, 3, cache=True, backend="matrix_free")
-        assert kernel_cache_stats()["kernel"]["size"] == 1
+        first = evolve(state, h, 0.4, 3, backend="matrix_free")
+        second = evolve(state, h, 0.4, 3, backend="matrix_free")
+        stats = kernel_cache_stats()["kernel"]
+        assert (stats["size"], stats["misses"], stats["hits"]) == (1, 1, 1)
+        assert np.array_equal(first, second)
+        evolve(state, 2.0 * h, 0.4, 3, backend="matrix_free")
+        assert kernel_cache_stats()["kernel"]["size"] == 2
 
     def test_stats_surface_through_simulation_cache_stats(self):
         stats = simulation_cache_stats()
@@ -686,9 +682,11 @@ class TestKernelCaches:
 
 
 class TestNoisySimulatorBackend:
-    def test_backend_validated(self):
-        with pytest.raises(SimulationError):
-            NoisySimulator(backend="magic")
+    def test_backend_keyword_retired(self):
+        """The simulator picks the path itself; ``backend`` is rejected."""
+        for backend in ("auto", "matrix_free", "magic"):
+            with pytest.raises(TypeError, match="backend"):
+                NoisySimulator(backend=backend)
 
 
 class TestBenchReportSchema:

@@ -177,6 +177,62 @@ def test_serve_rejects_garbage_without_dying(serve_proc):
     assert client.health()["status"] == "ok"
 
 
+@pytest.fixture(scope="module")
+def shared_serve(tmp_path_factory):
+    """One ``repro serve`` subprocess for the request-validation cases."""
+    proc, url = _start_serve(tmp_path_factory.mktemp("validation"))
+    try:
+        yield proc, url
+    finally:
+        _stop(proc)
+
+
+@pytest.mark.parametrize(
+    "options, named",
+    [
+        ({"shots": 0}, "shots"),
+        ({"shots": "many"}, "shots"),
+        ({"noise_samples": 0}, "noise_samples"),
+        ({"noise_samples": 2.5}, "noise_samples"),
+        ({"seed": "lucky"}, "seed"),
+        ({"backend": "magic"}, "backend"),
+        ({"backend": "auto"}, "backend"),
+    ],
+    ids=[
+        "shots-zero",
+        "shots-not-int",
+        "noise-samples-zero",
+        "noise-samples-not-int",
+        "seed-not-int",
+        "backend-magic",
+        "backend-auto",
+    ],
+)
+def test_simulate_options_rejected_at_submit(shared_serve, options, named):
+    """Simulator options are checked in the handler thread: a 400 naming
+    the key, nothing enqueued, no compile."""
+    proc, url = shared_serve
+    client = ServiceClient(url)
+    request = {"model": "ising_chain", "qubits": 2, "time": 1.0, **options}
+    with pytest.raises(ServiceClientError) as exc:
+        client.simulate(request)
+    assert exc.value.status == 400
+    assert named in str(exc.value)
+    stats = client.stats()
+    assert stats["queue"]["submitted"] == 0
+    assert proc.poll() is None
+
+
+def test_compile_rejects_backend_key(shared_serve):
+    _, url = shared_serve
+    with pytest.raises(ServiceClientError) as exc:
+        ServiceClient(url).compile(
+            {"model": "ising_chain", "qubits": 2, "backend": "dense"}
+        )
+    assert exc.value.status == 400
+    assert "backend" in str(exc.value)
+
+
 #: Distinct compile requests of the crash-restart test.
 CRASH_REQUESTS = [
     {"model": "ising_chain", "qubits": 3, "time": 0.9, "device": "rydberg-1d"},

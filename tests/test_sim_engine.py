@@ -1,12 +1,14 @@
 """The vectorized simulation engine: block evolution, the diagonal and
-dense-propagator fast paths, the propagator cache, and the vectorized
-Monte-Carlo executor.  References come from the ``exact_evolve`` fixture,
-which shares no code with the engine's backends."""
+dense-propagator fast paths, the propagator cache, the N = 7 / 8 dense
+boundary, and the vectorized Monte-Carlo executor.  References come from
+the ``exact_evolve`` fixture, which shares no code with the engine's
+paths."""
 
 import json
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from repro import QTurboCompiler
@@ -17,18 +19,18 @@ from repro.hamiltonian.expression import number_op, x, z, zz
 from repro.hamiltonian.time_dependent import PiecewiseHamiltonian
 from repro.models import ising_chain
 from repro.sim import (
+    DENSE_MAX_QUBITS,
     NoisySimulator,
     clear_simulation_caches,
     configure_simulation_caches,
     evolve,
-    evolve_block,
     evolve_piecewise,
+    evolve_realizations,
     evolve_schedule,
-    evolve_schedule_block,
+    kernel_cache_stats,
     simulation_cache_stats,
 )
 from repro.sim.operators import clear_operator_cache, hamiltonian_matrix
-from repro.sim.propagators import is_diagonal_hamiltonian
 from repro.sim.sampling import counts_from_samples, sample_bitstrings
 
 ATOL = 1e-10
@@ -40,21 +42,13 @@ def fresh_simulation_caches():
     clear_operator_cache()
     clear_simulation_caches()
     configure_simulation_caches(
-        propagator_maxsize=256,
-        diagonal_maxsize=1024,
-        dense_string_maxsize=2048,
-        propagator_max_qubits=10,
-        propagator_build_max_qubits=7,
+        propagator_maxsize=256, dense_string_maxsize=2048
     )
     yield
     clear_operator_cache()
     clear_simulation_caches()
     configure_simulation_caches(
-        propagator_maxsize=256,
-        diagonal_maxsize=1024,
-        dense_string_maxsize=2048,
-        propagator_max_qubits=10,
-        propagator_build_max_qubits=7,
+        propagator_maxsize=256, dense_string_maxsize=2048
     )
 
 
@@ -96,51 +90,51 @@ class TestBlockEvolve:
         )
         assert np.allclose(out, singles, atol=ATOL)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_evolve_block_distinct_hamiltonians(self, seed, exact_evolve):
-        rng = np.random.default_rng(100 + seed)
-        n, k = 3, 6
-        hams = [random_hamiltonian(rng, n) for _ in range(k)]
-        durations = rng.uniform(0.1, 1.5, k)
-        block = random_block(rng, n, k)
-        out = evolve_block(block, hams, durations, n)
-        for i in range(k):
-            single = exact_evolve(block[:, i], hams[i], durations[i], n)
-            assert np.allclose(out[:, i], single, atol=ATOL)
-
-    def test_identical_columns_grouped(self):
-        """Columns sharing (H, t) must not trigger per-column solves."""
+    def test_shared_hamiltonian_is_one_solve(self):
+        """All columns of a block share one dense build, not one each."""
         rng = np.random.default_rng(1)
         n, k = 3, 8
         h = random_hamiltonian(rng, n)
         block = random_block(rng, n, k)
-        evolve_block(block, [h] * k, 0.5, n)
+        evolve(block, h, 0.5, n)
         fast = simulation_cache_stats()["fast_paths"]
-        # All 8 columns went through one dense build.
         assert fast["dense_build"] == k
         assert fast["matrix_free"] == 0
+        assert simulation_cache_stats()["propagator"]["size"] == 1
 
     def test_zero_duration_and_zero_hamiltonian(self):
         rng = np.random.default_rng(2)
         block = random_block(rng, 3, 2)
-        out = evolve_block(
-            block, [Hamiltonian.zero(), zz(0, 1)], [0.4, 0.0], 3
-        )
-        assert np.allclose(out, block, atol=ATOL)
+        zero = evolve(block, Hamiltonian.zero(), 0.4, 3)
+        instant = evolve(block, zz(0, 1), 0.0, 3)
+        assert np.array_equal(zero, block)
+        assert np.array_equal(instant, block)
+        assert zero is not block and instant is not block
+        assert sum(simulation_cache_stats()["fast_paths"].values()) == 0
 
     def test_shape_validation(self):
         rng = np.random.default_rng(3)
         block = random_block(rng, 3, 2)
         with pytest.raises(SimulationError):
-            evolve_block(block, [zz(0, 1)], 0.5, 3)  # 1 H for 2 columns
+            evolve(block, zz(0, 1) + x(0), -0.5, 3)
         with pytest.raises(SimulationError):
-            evolve_block(block, [zz(0, 1), x(0)], [0.5], 3)
+            evolve(block[:4], zz(0, 1), 0.5, 3)  # wrong dimension
         with pytest.raises(SimulationError):
-            evolve_block(block, [zz(0, 1), x(0)], -0.5, 3)
-        with pytest.raises(SimulationError):
-            evolve_block(block[:, 0], [zz(0, 1)], 0.5, 3)  # not a block
+            evolve(block[:, :, None], zz(0, 1), 0.5, 3)  # not 1-D or 2-D
         with pytest.raises(SimulationError):
             evolve(block, zz(0, 1), 0.5, 3, backend="magic")
+
+    def test_retired_keywords_rejected(self, paper_aais):
+        """``cache`` and ``value_overrides`` are gone: every ideal call
+        may memoize, and realizations go through evolve_realizations."""
+        schedule = (
+            QTurboCompiler(paper_aais).compile(ising_chain(3), 1.0).schedule
+        )
+        state = random_block(np.random.default_rng(4), 3, 1)[:, 0]
+        with pytest.raises(TypeError):
+            evolve(state, zz(0, 1), 0.5, 3, cache=False)
+        with pytest.raises(TypeError):
+            evolve_schedule(state, schedule, value_overrides=None)
 
 
 class TestDiagonalFastPath:
@@ -157,11 +151,21 @@ class TestDiagonalFastPath:
         assert np.allclose(fast, reference, atol=ATOL)
         assert simulation_cache_stats()["fast_paths"]["diagonal"] >= 1
 
-    def test_detection(self):
-        assert is_diagonal_hamiltonian(zz(0, 1) + 0.3 * z(2))
-        assert is_diagonal_hamiltonian(number_op(0))  # identity + Z
-        assert is_diagonal_hamiltonian(Hamiltonian.zero())
-        assert not is_diagonal_hamiltonian(zz(0, 1) + 0.1 * x(0))
+    @pytest.mark.parametrize(
+        "hamiltonian, diagonal",
+        [
+            (zz(0, 1) + 0.3 * z(2), True),
+            (number_op(0), True),  # identity + Z
+            (zz(0, 1) + 0.1 * x(0), False),
+        ],
+    )
+    def test_detection(self, hamiltonian, diagonal, exact_evolve):
+        state = random_block(np.random.default_rng(7), 3, 1)[:, 0]
+        out = evolve(state, hamiltonian, 0.6, 3)
+        counted = simulation_cache_stats()["fast_paths"]["diagonal"]
+        assert counted == (1 if diagonal else 0)
+        reference = exact_evolve(state, hamiltonian, 0.6, 3)
+        assert np.allclose(out, reference, atol=ATOL)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_mixed_piecewise_schedule(self, seed, exact_evolve):
@@ -226,13 +230,16 @@ class TestPropagatorCache:
         evolve(state, h, 0.6, n)
         assert simulation_cache_stats()["propagator"]["size"] == 2
 
-    def test_cache_false_does_not_store(self):
-        rng = np.random.default_rng(7)
-        n = 3
-        h = random_hamiltonian(rng, n)
-        state = random_block(rng, n, 1)[:, 0]
-        evolve(state, h, 0.9, n, cache=False)
+    def test_realizations_neither_probe_nor_store(self):
+        """One-shot realizations leave the propagator and kernel caches
+        untouched, so their misses do not dilute the hit rates."""
+        schedule = chain_schedule(3, np.random.default_rng(7))
+        arrays = draw_realizations(schedule, 4, seed=7)
+        evolve_realizations(ground_block(3, 4), schedule, arrays)
+        assert simulation_cache_stats()["propagator"]["misses"] == 0
         assert simulation_cache_stats()["propagator"]["size"] == 0
+        assert kernel_cache_stats()["kernel"]["misses"] == 0
+        assert kernel_cache_stats()["kernel"]["size"] == 0
 
     def test_block_reads_cache_warmed_by_single(self, exact_evolve):
         rng = np.random.default_rng(8)
@@ -241,27 +248,65 @@ class TestPropagatorCache:
         state = random_block(rng, n, 1)[:, 0]
         evolve(state, h, 0.4, n)  # warm
         block = random_block(rng, n, 4)
-        out = evolve_block(block, [h] * 4, 0.4, n)
+        out = evolve(block, h, 0.4, n)
         assert simulation_cache_stats()["fast_paths"]["propagator"] >= 4
         for i in range(4):
             reference = exact_evolve(block[:, i], h, 0.4, n)
             assert np.allclose(out[:, i], reference, atol=ATOL)
 
-    def test_build_threshold_zero_falls_back_to_matrix_free(
-        self, exact_evolve
-    ):
-        """A dense-cache miss above the build threshold goes matrix-free."""
-        configure_simulation_caches(propagator_build_max_qubits=0)
-        rng = np.random.default_rng(9)
-        n = 3
-        h = random_hamiltonian(rng, n)
-        state = random_block(rng, n, 1)[:, 0]
-        out = evolve(state, h, 0.9, n)
-        stats = simulation_cache_stats()
-        assert stats["fast_paths"]["matrix_free"] == 1
-        assert stats["fast_paths"]["dense_build"] == 0
-        assert stats["fast_paths"]["krylov"] == 0
-        assert np.allclose(out, exact_evolve(state, h, 0.9, n), atol=ATOL)
+    def test_ideal_schedule_repeat_hits_cache(self, paper_aais):
+        """A schedule evolved again costs one cached matmul per segment."""
+        schedule = (
+            QTurboCompiler(paper_aais).compile(ising_chain(3), 1.0).schedule
+        )
+        state = random_block(np.random.default_rng(10), 3, 1)[:, 0]
+        first = evolve_schedule(state, schedule)
+        built = simulation_cache_stats()["fast_paths"]["dense_build"]
+        assert built == schedule.num_segments
+        second = evolve_schedule(state, schedule)
+        fast = simulation_cache_stats()["fast_paths"]
+        assert fast["propagator"] == schedule.num_segments
+        assert fast["dense_build"] == built
+        assert np.array_equal(first, second)
+
+
+class TestDenseBoundary:
+    """Ideal evolution is dense (memoized) up to N = DENSE_MAX_QUBITS and
+    matrix-free above it; an all-Z support is a phase multiply at both
+    sizes.  Vector and block inputs against the dense reference."""
+
+    @pytest.mark.parametrize("columns", [None, 3])
+    @pytest.mark.parametrize("n", [DENSE_MAX_QUBITS, DENSE_MAX_QUBITS + 1])
+    def test_paths_and_counters(self, n, columns, exact_evolve):
+        assert DENSE_MAX_QUBITS == 7
+        rng = np.random.default_rng(n * 10 + (columns or 1))
+        h = random_hamiltonian(rng, n) + 0.4 * x(n - 1)
+        block = random_block(rng, n, columns or 1)
+        state = block if columns else block[:, 0]
+        width = columns or 1
+        reference = exact_evolve(state, h, 0.6, n)
+
+        first = evolve(state, h, 0.6, n)
+        second = evolve(state, h, 0.6, n)
+        assert first.shape == state.shape
+        assert np.allclose(first, reference, atol=ATOL)
+        assert np.allclose(second, reference, atol=ATOL)
+        fast = simulation_cache_stats()["fast_paths"]
+        if n <= DENSE_MAX_QUBITS:
+            assert fast["dense_build"] == width
+            assert fast["propagator"] == width
+            assert fast["matrix_free"] == 0
+        else:
+            assert fast["matrix_free"] == 2 * width
+            assert fast["dense_build"] == fast["propagator"] == 0
+            assert simulation_cache_stats()["propagator"]["misses"] == 0
+
+        diagonal = zz(0, n - 1) + 0.7 * z(1)
+        out = evolve(state, diagonal, 0.6, n)
+        assert np.allclose(
+            out, exact_evolve(state, diagonal, 0.6, n), atol=ATOL
+        )
+        assert simulation_cache_stats()["fast_paths"]["diagonal"] == width
 
 
 def exact_schedule_evolve(exact_evolve, state, schedule, overrides=None):
@@ -279,7 +324,7 @@ def exact_schedule_evolve(exact_evolve, state, schedule, overrides=None):
     return state
 
 
-class TestEvolveScheduleBlock:
+class TestScheduleEvolution:
     @pytest.fixture
     def schedule(self, paper_aais):
         return QTurboCompiler(paper_aais).compile(ising_chain(3), 1.0).schedule
@@ -287,46 +332,45 @@ class TestEvolveScheduleBlock:
     def test_unperturbed_block_matches_single(self, schedule, exact_evolve):
         rng = np.random.default_rng(10)
         block = random_block(rng, 3, 4)
-        out = evolve_schedule_block(block, schedule)
+        out = evolve_schedule(block, schedule)
         for i in range(4):
             single = exact_schedule_evolve(exact_evolve, block[:, i], schedule)
             assert np.allclose(out[:, i], single, atol=ATOL)
 
-    def test_overrides_match_per_column_loop(self, schedule, exact_evolve):
+    def test_per_column_shifts_match_reference(self, schedule, exact_evolve):
         rng = np.random.default_rng(11)
         k = 5
         block = random_block(rng, 3, k)
-        overrides = []
-        for _ in range(k):
-            shift = float(rng.normal(0.0, 0.3))
-            overrides.append(
-                [
-                    {
-                        name: value + shift
-                        for name, value in segment.dynamic_values.items()
-                        if name.startswith("delta")
-                    }
-                    for segment in schedule.segments
-                ]
-            )
-        out = evolve_schedule_block(block, schedule, overrides)
-        for i in range(k):
-            single = evolve_schedule(
-                block[:, i], schedule, value_overrides=overrides[i]
-            )
-            assert np.allclose(out[:, i], single, atol=ATOL)
+        shifts = rng.normal(0.0, 0.3, k)
+        arrays = [
+            {
+                name: value + shifts
+                for name, value in segment.dynamic_values.items()
+                if name.startswith("delta")
+            }
+            for segment in schedule.segments
+        ]
+        out = evolve_realizations(block, schedule, arrays)
+        for i, overrides in enumerate(per_column(arrays, k)):
             reference = exact_schedule_evolve(
-                exact_evolve, block[:, i], schedule, overrides[i]
+                exact_evolve, block[:, i], schedule, overrides
             )
             assert np.allclose(out[:, i], reference, atol=ATOL)
 
-    def test_override_count_mismatch_rejected(self, schedule):
+    def test_override_width_mismatch_rejected(self, schedule):
         rng = np.random.default_rng(12)
         block = random_block(rng, 3, 3)
+        arrays = [
+            {
+                name: np.full(2, value)
+                for name, value in segment.dynamic_values.items()
+            }
+            for segment in schedule.segments
+        ]
         with pytest.raises(SimulationError):
-            evolve_schedule_block(
-                block, schedule, [[{}] * schedule.num_segments] * 2
-            )
+            evolve_realizations(block, schedule, arrays)
+        with pytest.raises(SimulationError):
+            evolve_realizations(block[:, 0], schedule, arrays)  # not a block
 
 
 class TestVectorizedNoisySimulator:
@@ -397,7 +441,7 @@ class TestCLI:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["observables"]) == {"z_avg", "zz_avg"}
-        assert payload["backend"] == "auto"
+        assert "backend" not in payload
         assert "simulation_cache" in payload
 
     def test_simulate_zne(self, capsys):
@@ -435,8 +479,10 @@ class TestCLI:
         )
         assert code == 2
 
-    def test_simulate_rejects_sparse_backend(self, capsys):
-        """The sparse backend is gone: a usage error naming the flag."""
+    @pytest.mark.parametrize("backend", ["auto", "matrix_free", "sparse"])
+    def test_simulate_rejects_backend_flag(self, backend, capsys):
+        """The simulator picks the path itself: ``--backend`` is a usage
+        error naming the flag, whatever its value."""
         with pytest.raises(SystemExit) as exit_info:
             cli_main(
                 [
@@ -446,7 +492,7 @@ class TestCLI:
                     "-n",
                     "3",
                     "--backend",
-                    "sparse",
+                    backend,
                 ]
             )
         assert exit_info.value.code == 2
@@ -506,21 +552,30 @@ def per_column(arrays, k):
     ]
 
 
-def assert_batch_matches_columns(schedule, arrays, block, backend="auto"):
-    """Batched evolution == per-column ``evolve_schedule`` to 1e-10;
-    the list-of-dicts front end gives the very same block."""
-    from repro.sim.evolution import evolve_realizations
-
-    k = block.shape[1]
-    batched = evolve_realizations(block, schedule, arrays, backend=backend)
-    columns = per_column(arrays, k)
-    listed = evolve_schedule_block(block, schedule, columns, backend=backend)
-    assert np.array_equal(listed, batched)
-    for col in range(k):
-        single = evolve_schedule(
-            block[:, col], schedule, value_overrides=columns[col],
-            backend=backend,
+def reference_realization(schedule, overrides, state):
+    """One realization evolved segment by segment from the dense (CSR
+    above 10 qubits) matrix of ``aais.hamiltonian(values)`` and scipy;
+    it shares no code with the engine's paths."""
+    n = schedule.aais.num_sites
+    for index, segment in enumerate(schedule.segments):
+        values = schedule.values_at_segment(index)
+        values.update(overrides[index])
+        matrix = hamiltonian_matrix(
+            schedule.aais.hamiltonian(values), n, cache=False
         )
+        if n <= 10:
+            state = expm(-1j * segment.duration * matrix.toarray()) @ state
+        else:
+            state = expm_multiply(-1j * segment.duration * matrix.tocsc(), state)
+    return state
+
+
+def assert_batch_matches_columns(schedule, arrays, block):
+    """Batched evolution == the per-realization reference to 1e-10."""
+    k = block.shape[1]
+    batched = evolve_realizations(block, schedule, arrays)
+    for col, overrides in enumerate(per_column(arrays, k)):
+        single = reference_realization(schedule, overrides, block[:, col])
         assert np.abs(batched[:, col] - single).max() <= 1e-10
     return batched
 
@@ -538,8 +593,6 @@ class TestBatchedRealizations:
         schedule = chain_schedule(n, rng)
         k = 5
         arrays = draw_realizations(schedule, k, seed=n)
-        from repro.sim.evolution import evolve_realizations
-
         evolve_realizations(ground_block(n, k), schedule, arrays)
         paths = simulation_cache_stats()["fast_paths"]
         assert paths["matrix_free"] == k * schedule.num_segments
@@ -549,8 +602,6 @@ class TestBatchedRealizations:
     def test_auto_matches_forced_dense_at_small_n(self, n):
         """``auto`` runs small registers matrix-free; the batched dense
         ``expm`` it no longer takes stays the reference."""
-        from repro.sim.evolution import evolve_realizations
-
         schedule = chain_schedule(n, np.random.default_rng(20 + n))
         k = 5
         arrays = draw_realizations(schedule, k, seed=20 + n)
@@ -565,8 +616,6 @@ class TestBatchedRealizations:
         assert np.abs(auto - dense).max() <= 1e-10
 
     def test_complex_phase_matches_forced_dense(self):
-        from repro.sim.evolution import evolve_realizations
-
         n, k = 5, 4
         schedule = chain_schedule(n, np.random.default_rng(8), phi=0.7)
         arrays = draw_realizations(schedule, k, seed=8)
@@ -578,8 +627,6 @@ class TestBatchedRealizations:
 
     def test_detuning_only_segments_stay_diagonal(self):
         n, k = 8, 4
-        from repro.sim.evolution import evolve_realizations
-
         schedule = chain_schedule(n, np.random.default_rng(1), omega=0.0)
         arrays = draw_realizations(schedule, k, seed=1)
         # |0…0⟩ is a zero-energy eigenstate of every detuning-only
@@ -651,7 +698,6 @@ class TestBatchedRealizations:
     def test_budget_chunks_match_unchunked_run(self):
         """A budget of three columns' working set splits k = 7 into
         chunks of 3, 3 and 1 without changing the result."""
-        from repro.sim.evolution import evolve_realizations
         from repro.sim.kernels import TAIL_QUBITS
         from repro.sim.propagators import matrix_free_block_columns
 
@@ -671,8 +717,6 @@ class TestBatchedRealizations:
         assert np.abs(chunked - unchunked).max() <= 1e-10
 
     def test_override_arrays_must_cover_every_segment(self):
-        from repro.sim.evolution import evolve_realizations
-
         schedule = chain_schedule(4, np.random.default_rng(7))
         with pytest.raises(SimulationError):
             evolve_realizations(ground_block(4, 2), schedule, [{}])
@@ -725,10 +769,7 @@ class TestNoisyRunRandomStream:
         rng = np.random.default_rng(seed)
         draws = legacy_override_draws(simulator.noise, schedule, rng, groups)
         states = np.stack(
-            [
-                evolve_schedule(ground_state(n), schedule, value_overrides=d)
-                for d in draws
-            ],
+            [reference_realization(schedule, d, ground_state(n)) for d in draws],
             axis=1,
         )
         expected = simulator._sample_and_corrupt(
