@@ -166,7 +166,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     failed = sum(run["failed"] for run in report["runs"])
     # Repeated targets must warm the cache their register size uses:
-    # the dense propagator cache below the build limit, the matrix-free
+    # the dense propagator cache up to DENSE_MAX_QUBITS, the matrix-free
     # kernel cache above it.  Only a serial run measures the caches.
     warmed = True
     if "kernel_cache_hit_rate" in report:

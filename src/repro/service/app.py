@@ -147,6 +147,11 @@ class ServiceState:
             self._count("bad_requests")
             raise ServiceError(400, "request body must be a JSON object")
         request = _canonical_request(kind, request)
+        try:
+            _check_options(kind, request)
+        except ServiceError:
+            self._count("bad_requests")
+            raise
         digest = job_digest(kind, request)
         stored = self.results.load(digest)
         if stored is not None:
@@ -208,14 +213,6 @@ class ServiceState:
                 return ExperimentSpec.from_dict(spec_dict)
             except ReproError as error:
                 raise ServiceError(400, f"invalid spec: {error}") from None
-        if "backend" in request:
-            raise ServiceError(
-                400,
-                "'backend' is not a request key: the simulator picks the "
-                "evolution path itself",
-            )
-        if kind == "simulate":
-            _check_simulate_options(request)
         try:
             return self._workload_job(request, digest)
         except ReproError as error:
@@ -370,8 +367,20 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_simulate_options(request: Dict) -> None:
-    """Reject simulator options the queue worker could not run."""
+def _check_options(kind: str, request: Dict) -> None:
+    """Reject retired keys and simulator options the queue worker could
+    not run.  Runs before the result-store lookup, so a stored result
+    never answers a request that is now invalid."""
+    if kind == "run":
+        return
+    if "backend" in request:
+        raise ServiceError(
+            400,
+            "'backend' is not a request key: the simulator picks the "
+            "evolution path itself",
+        )
+    if kind != "simulate":
+        return
     for key in ("shots", "noise_samples"):
         value = request.get(key, 1)
         if not _is_int(value) or value < 1:

@@ -299,6 +299,7 @@ def _evolve_rows(
             strings,
             coefficients if shared else coefficients[cols],
             num_qubits,
+            structure,
             cache,
         )
         out[:, cols] = kernel_expm_multiply(kernel, states[:, cols], duration)

@@ -434,15 +434,17 @@ class HamiltonianKernel:
         strings: Tuple[Tuple[Tuple[int, str], ...], ...],
         coefficients: np.ndarray,
         num_qubits: int,
+        structure: Optional[_KernelStructure] = None,
     ) -> "HamiltonianKernel":
         """A kernel of ``h`` Hamiltonians sharing the support ``strings``.
 
         ``strings`` are canonical Pauli keys in sorted string order and
         ``coefficients`` is ``(h, len(strings))``; zero entries are
-        allowed.
+        allowed.  ``structure`` is the support's cached
+        :class:`_KernelStructure` when the caller already holds it.
         """
         kernel = cls.__new__(cls)
-        kernel._build(strings, coefficients, num_qubits)
+        kernel._build(strings, coefficients, num_qubits, structure)
         return kernel
 
     def _build(
@@ -450,6 +452,7 @@ class HamiltonianKernel:
         strings: Tuple[Tuple[Tuple[int, str], ...], ...],
         coefficients: np.ndarray,
         num_qubits: int,
+        structure: Optional[_KernelStructure] = None,
     ) -> None:
         _check_num_qubits(num_qubits)
         coefficients = np.asarray(coefficients, dtype=float).reshape(
@@ -459,7 +462,8 @@ class HamiltonianKernel:
         self.dim = 1 << num_qubits
         self.num_terms = len(strings)
         self.num_hamiltonians = len(coefficients)
-        structure = _structure_for(tuple(strings), num_qubits)
+        if structure is None:
+            structure = _structure_for(tuple(strings), num_qubits)
         self.real = structure.real
         self._axpy = blas.daxpy if self.real else blas.zaxpy
         self._diagonal = structure.diagonal_rows(coefficients)
@@ -646,16 +650,22 @@ def row_kernel(
     strings: Tuple[Tuple[Tuple[int, str], ...], ...],
     coefficients: np.ndarray,
     num_qubits: int,
+    structure: _KernelStructure,
     cache: bool,
 ) -> HamiltonianKernel:
-    """:meth:`HamiltonianKernel.from_rows`, memoized on the rows when
-    ``cache`` is True (ideal evolution, whose rows recur)."""
+    """:meth:`HamiltonianKernel.from_rows` on the support's ``structure``,
+    memoized on the rows when ``cache`` is True (ideal evolution, whose
+    rows recur)."""
     if not cache:
-        return HamiltonianKernel.from_rows(strings, coefficients, num_qubits)
+        return HamiltonianKernel.from_rows(
+            strings, coefficients, num_qubits, structure
+        )
     key = (strings, coefficients.tobytes(), num_qubits)
     kernel = _kernel_cache.get(key)
     if kernel is None:
-        kernel = HamiltonianKernel.from_rows(strings, coefficients, num_qubits)
+        kernel = HamiltonianKernel.from_rows(
+            strings, coefficients, num_qubits, structure
+        )
         _kernel_cache.put(key, kernel)
     return kernel
 

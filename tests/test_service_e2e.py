@@ -25,7 +25,12 @@ import pytest
 from repro.aais import aais_for_device
 from repro.core import QTurboCompiler
 from repro.models import build_model
-from repro.service import ServiceClient, ServiceClientError
+from repro.service import (
+    ResultStore,
+    ServiceClient,
+    ServiceClientError,
+    job_digest,
+)
 from repro.testing import FaultRule
 
 SPEC = {
@@ -179,10 +184,12 @@ def test_serve_rejects_garbage_without_dying(serve_proc):
 
 @pytest.fixture(scope="module")
 def shared_serve(tmp_path_factory):
-    """One ``repro serve`` subprocess for the request-validation cases."""
-    proc, url = _start_serve(tmp_path_factory.mktemp("validation"))
+    """One ``repro serve`` subprocess for the request-validation cases;
+    yields ``(proc, url, data_dir)``."""
+    data_dir = tmp_path_factory.mktemp("validation")
+    proc, url = _start_serve(data_dir)
     try:
-        yield proc, url
+        yield proc, url, data_dir
     finally:
         _stop(proc)
 
@@ -211,7 +218,7 @@ def shared_serve(tmp_path_factory):
 def test_simulate_options_rejected_at_submit(shared_serve, options, named):
     """Simulator options are checked in the handler thread: a 400 naming
     the key, nothing enqueued, no compile."""
-    proc, url = shared_serve
+    proc, url, _ = shared_serve
     client = ServiceClient(url)
     request = {"model": "ising_chain", "qubits": 2, "time": 1.0, **options}
     with pytest.raises(ServiceClientError) as exc:
@@ -224,13 +231,37 @@ def test_simulate_options_rejected_at_submit(shared_serve, options, named):
 
 
 def test_compile_rejects_backend_key(shared_serve):
-    _, url = shared_serve
+    _, url, _ = shared_serve
     with pytest.raises(ServiceClientError) as exc:
         ServiceClient(url).compile(
             {"model": "ising_chain", "qubits": 2, "backend": "dense"}
         )
     assert exc.value.status == 400
     assert "backend" in str(exc.value)
+
+
+def test_stored_result_does_not_answer_a_retired_key(shared_serve):
+    """A store written while ``backend`` was a request key may hold a
+    result for such a request; the key is rejected before the lookup."""
+    _, url, data_dir = shared_serve
+    store = ResultStore(data_dir / "results")
+    retired = {"model": "ising_chain", "qubits": 2, "time": 0.7,
+               "backend": "dense"}
+    valid = {"model": "ising_chain", "qubits": 2, "time": 0.7}
+    for request in (retired, valid):
+        store.store(
+            job_digest("simulate", request),
+            {"kind": "simulate", "request": request, "result": {"seeded": 1}},
+        )
+    client = ServiceClient(url)
+    # The seeded record is well formed: the valid twin is served from it.
+    answer = client.simulate(valid)
+    assert (answer["job"]["source"], answer["result"]) == ("store", {"seeded": 1})
+    with pytest.raises(ServiceClientError) as exc:
+        client.simulate(retired)
+    assert exc.value.status == 400
+    assert "backend" in str(exc.value)
+    assert client.stats()["service"]["store_hits"] == 1
 
 
 #: Distinct compile requests of the crash-restart test.
