@@ -120,7 +120,10 @@ class SimuQStyleCompiler:
                     f"after {self.max_restarts} restarts"
                 )
                 break
-            x, residual_rel = solved
+            # The schedule has no on/off switch: an instruction whose
+            # indicator rounded to 0 must run at amplitude 0, or the
+            # device executes a drive that b_sim counts as off.
+            x = system.absorb_indicators(solved[0])
             values = system.values_dict(x)
             t_sim = float(x[system.t_index])
             if index == 0:

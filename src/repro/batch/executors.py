@@ -42,7 +42,6 @@ failure propagates to the caller unchanged.
 from __future__ import annotations
 
 import abc
-import ctypes
 import logging
 import os
 import time
@@ -57,6 +56,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, TypeVar, Union
 
 from repro.batch.retry import count_fault_event
+from repro.blas import pin_blas_threads
 from repro.errors import CompilationError, JobTimeoutError
 
 __all__ = [
@@ -99,46 +99,6 @@ def default_workers() -> int:
     except (AttributeError, OSError):
         available = os.cpu_count() or 1
     return max(1, min(8, available))
-
-
-#: Thread setters of numpy's ``libscipy_openblas64_`` and scipy's
-#: ``libscipy_openblas``.
-_OPENBLAS_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-)
-
-
-def _loaded_openblas() -> List[ctypes.CDLL]:
-    """Every OpenBLAS already mapped into this process (Linux only)."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {
-                line.split(maxsplit=5)[-1].strip()
-                for line in maps
-                if "libscipy_openblas" in line
-            }
-    except OSError:
-        return []
-    return [ctypes.CDLL(path) for path in sorted(paths)]
-
-
-def _pin_blas_threads() -> None:
-    """Pool initializer: one OpenBLAS thread per worker.
-
-    A forked worker inherits the parent's BLAS threads, and
-    ``OPENBLAS_NUM_THREADS`` is read only at library load, so the
-    library's own setter is called.  Never raises: a raising
-    initializer breaks the pool.
-    """
-    try:
-        for library in _loaded_openblas():
-            for name in _OPENBLAS_SETTERS:
-                setter = getattr(library, name, None)
-                if setter is not None:
-                    setter(1)
-    except Exception:  # noqa: BLE001 — pinning is best effort
-        logger.debug("could not pin worker BLAS threads", exc_info=True)
 
 
 class BatchExecutor(abc.ABC):
@@ -340,7 +300,7 @@ class ProcessBatchExecutor(BatchExecutor):
 
     def _pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
-            max_workers=self.workers, initializer=_pin_blas_threads
+            max_workers=self.workers, initializer=pin_blas_threads
         )
 
     def effective_chunksize(self, num_payloads: int) -> int:

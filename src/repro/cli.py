@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -60,6 +61,7 @@ from repro.batch import (
     BatchJob,
     RetryPolicy,
 )
+from repro.blas import pin_blas_threads
 from repro.core import QTurboCompiler
 from repro.hamiltonian import Hamiltonian, parse_hamiltonian
 from repro.models import build_model, model_names
@@ -801,6 +803,10 @@ def main(argv: Optional[list] = None) -> int:
     from repro.errors import ReproError
 
     args = build_parser().parse_args(argv)
+    if "OPENBLAS_NUM_THREADS" not in os.environ:
+        # Multi-threaded BLAS slows the small products compiles and
+        # simulations run; a user's own setting wins.
+        pin_blas_threads()
     handlers = {
         "compile": _command_compile,
         "models": _command_models,

@@ -62,7 +62,7 @@ _PASS_STAGE = {
     "partition": "partition",
     "time_optimization": "time_optimization",
     "fixed_solve": "local_solve",
-    "refinement": "local_solve",  # minus the LP time, charged to refinement
+    "refinement": "local_solve",  # minus the L1 step, charged to refinement
     "schedule_compaction": "emit",
     "emit_schedule": "emit",
 }
@@ -365,9 +365,9 @@ class QTurboCompiler:
                 continue
             seconds = record.seconds
             if record.name == "refinement":
-                lp_seconds = min(unit.refinement_seconds, seconds)
-                timings.refinement += lp_seconds
-                seconds -= lp_seconds
+                refine_seconds = min(unit.refinement_seconds, seconds)
+                timings.refinement += refine_seconds
+                seconds -= refine_seconds
             setattr(timings, stage, getattr(timings, stage) + seconds)
         return timings
 

@@ -329,15 +329,26 @@ class GlobalLinearSystem:
         values = self.matrix.dot(alpha)
         return {term: float(value) for term, value in zip(self.terms, values)}
 
-    def columns(self, names: Sequence[str]) -> sparse.csr_matrix:
-        """Sub-matrix of the named channels (refinement's M_c / M_r split)."""
+    def column_entries(
+        self, names: Sequence[str]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nonzeros of the named channels' columns (refinement's ``M_c``).
+
+        Returns ``(rows, cols, coeffs)``, where ``cols`` indexes
+        ``names``, read straight off the CSR arrays: building the
+        sub-matrix costs several times more on refinement-sized systems.
+        """
         index = {name: k for k, name in enumerate(self.channel_names)}
-        cols = []
-        for name in names:
+        position = np.full(len(self.channel_names), -1)
+        for k, name in enumerate(names):
             if name not in index:
                 raise CompilationError(f"unknown channel {name}")
-            cols.append(index[name])
-        return self.matrix[:, cols]
+            position[index[name]] = k
+        matrix = self.matrix
+        rows = np.repeat(np.arange(len(self.terms)), np.diff(matrix.indptr))
+        cols = position[matrix.indices]
+        keep = (cols >= 0) & (matrix.data != 0)
+        return rows[keep], cols[keep], matrix.data[keep]
 
     def __repr__(self) -> str:
         rows, cols = self.matrix.shape

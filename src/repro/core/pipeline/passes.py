@@ -374,15 +374,19 @@ class RefinementPass(CompilerPass):
     """Stage 5 (§6.2): dynamic re-solve with optional L1 refinement.
 
     For every segment: optionally re-solve the dynamic synthesized
-    targets to absorb the fixed-channel residual (the L1 linear
-    program), then solve each dynamic component's amplitude variables at
-    the segment's final time and accumulate the local ε₂ residuals.
+    targets to absorb the fixed-channel residual (the L1 minimization
+    of :func:`~repro.core.refinement.refine_dynamic_alphas`), then solve
+    each dynamic component's amplitude variables at the segment's final
+    time and accumulate the local ε₂ residuals.  Diagnostics count, over
+    all segments, the components of the dynamic columns solved in
+    closed form (``closed_form_components``) and by a linear program
+    (``lp_components``), and time the refinement (``refine_seconds``).
 
     Parameters
     ----------
     apply_refinement:
-        Run the refinement LP (the compiler's ``refine`` knob; the
-        dynamic solve itself always runs).
+        Run the refinement (the compiler's ``refine`` knob; the dynamic
+        solve itself always runs).
     """
 
     name = "refinement"
@@ -397,6 +401,7 @@ class RefinementPass(CompilerPass):
 
         system = unit.require("system", self.name)
         refined_any = False
+        closed_form = lp = 0
         for index in range(len(unit.segment_times)):
             alphas = unit.segment_alphas[index]
             t_seg = unit.segment_times[index]
@@ -420,6 +425,8 @@ class RefinementPass(CompilerPass):
                     t_seg,
                 )
                 unit.refinement_seconds += _time.perf_counter() - tick
+                closed_form += refined.closed_form_components
+                lp += refined.lp_components
                 if refined.applied:
                     alphas = refined.alphas
                     unit.segment_alphas[index] = alphas
@@ -436,7 +443,9 @@ class RefinementPass(CompilerPass):
         unit.refinement_applied = refined_any
         self.record(
             applied=refined_any,
-            lp_seconds=unit.refinement_seconds,
+            closed_form_components=closed_form,
+            lp_components=lp,
+            refine_seconds=unit.refinement_seconds,
             eps2=sum(unit.segment_eps2),
         )
         return unit

@@ -102,7 +102,7 @@ class CompilationUnit:
     eps1_total / eps2_total:
         Accumulated linear (ε₁) and local (ε₂) residuals of Theorem 1.
     refinement_applied / refinement_seconds:
-        Whether any segment's refinement LP improved the residual, and
+        Whether any segment's refinement improved the residual, and
         the wall time spent inside :func:`refine_dynamic_alphas`.
     segments / pulse_segments / schedule:
         Emission products.

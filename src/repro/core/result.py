@@ -19,7 +19,7 @@ class StageTimings:
 
     Covers every stage of the pipeline: the linear build/solve,
     partitioning, evolution-time optimization, the local (fixed +
-    dynamic) solves, the refinement LP, and schedule emission
+    dynamic) solves, the L1 refinement, and schedule emission
     (``emit``); ``total`` is the end-to-end compile wall time, so
     ``total - sum(stages)`` is pipeline overhead.
     """

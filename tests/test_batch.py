@@ -43,7 +43,7 @@ def _square(value: int) -> int:
 def _blas_functions(verb: str) -> list:
     """The ``verb`` ("get"/"set") thread-count functions of every loaded
     OpenBLAS (numpy's ILP64 build and scipy's)."""
-    from repro.batch.executors import _loaded_openblas
+    from repro.blas import loaded_openblas
 
     names = [
         f"scipy_openblas_{verb}_num_threads64_",
@@ -51,7 +51,7 @@ def _blas_functions(verb: str) -> list:
     ]
     return [
         getattr(library, name)
-        for library in _loaded_openblas()
+        for library in loaded_openblas()
         for name in names
         if hasattr(library, name)
     ]
@@ -323,6 +323,32 @@ class TestWorkerBlasThreads:
                 set_threads(count)
         assert _blas_threads() == saved
         assert all(report and set(report) == {1} for report in reports)
+
+    @pytest.mark.parametrize("user_setting", [None, "2"])
+    def test_cli_pins_blas_unless_the_user_set_it(
+        self, monkeypatch, capsys, user_setting
+    ):
+        """``repro`` pins its own process to one OpenBLAS thread at
+        start; an ``OPENBLAS_NUM_THREADS`` the user exported wins."""
+        from repro.cli import main
+
+        saved = _blas_threads()
+        if not saved:
+            pytest.skip("no OpenBLAS loaded")
+        if user_setting is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", user_setting)
+        for set_threads in _blas_functions("set"):
+            set_threads(2)
+        try:
+            assert main(["models"]) == 0
+            threads = _blas_threads()
+        finally:
+            for set_threads, count in zip(_blas_functions("set"), saved):
+                set_threads(count)
+        capsys.readouterr()
+        assert set(threads) == ({1} if user_setting is None else {2})
 
 
 class TestWorkerCompilerReuse:

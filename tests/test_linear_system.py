@@ -132,17 +132,23 @@ class TestSolve:
         residual = system.residual_vector(solution.alphas, dict(target.terms))
         assert np.abs(residual).max() < 1e-6
 
-    def test_columns_submatrix(self, paper_system):
+    def test_column_entries_match_submatrix(self, paper_system):
         system, _ = paper_system
-        sub = system.columns(["detuning_0", "detuning_1"])
-        assert sub.shape == (12, 2)
+        names = ["detuning_1", "detuning_0"]
+        rows, cols, coeffs = system.column_entries(names)
+        dense = np.zeros((len(system.terms), len(names)))
+        dense[rows, cols] = coeffs
+        index = [system.channel_names.index(name) for name in names]
+        np.testing.assert_array_equal(
+            dense, system.matrix[:, index].toarray()
+        )
 
-    def test_columns_unknown_channel(self, paper_system):
+    def test_column_entries_unknown_channel(self, paper_system):
         from repro.errors import CompilationError
 
         system, _ = paper_system
         with pytest.raises(CompilationError):
-            system.columns(["nope"])
+            system.column_entries(["nope"])
 
     def test_alpha_vector_ordering(self, paper_system):
         system, target = paper_system

@@ -14,6 +14,11 @@ discretized) is checked the same way against ``Π U_tar,i``, the
 product of each target segment's exponential.  The first inequality is nearly tight on
 this grid (distance / ``error_l1`` reaches 0.99), so the check uses a
 relative tolerance of 1e-9, not a loose one.
+
+Random target coefficients on every registered term structure are
+checked the same way, and so is the SimuQ-style baseline: it carries no
+Theorem-1 budget, but its ``error_l1`` must still bound the distance of
+the schedule it emits.
 """
 
 from __future__ import annotations
@@ -22,11 +27,15 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from repro.aais import DEVICE_PRESETS, aais_for_device
+from repro.baseline import SimuQStyleCompiler
 from repro.core import QTurboCompiler
 from repro.errors import HamiltonianError
+from repro.hamiltonian.expression import Hamiltonian
 from repro.models.mis import mis_chain
 from repro.models.registry import build_model, model_names
 
@@ -125,3 +134,61 @@ def test_piecewise_target_within_theorem1_bound(
 
     assert distance <= result.error_l1 * (1 + _REL_TOL) + _ABS_TOL
     assert result.error_l1 <= result.error_bound * (1 + _REL_TOL) + _ABS_TOL
+
+
+@given(
+    device=st.sampled_from(DEVICE_PRESETS),
+    cell=st.sampled_from([cell for cell in _grid() if cell[1] <= 4]),
+    coefficients=st.lists(st.floats(-2.0, 2.0), min_size=16, max_size=16),
+    duration=st.floats(0.2, 2.0),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_random_coefficients_within_theorem1_bound(
+    device, cell, coefficients, duration
+):
+    """A registered term structure with every coefficient drawn at random."""
+    model, n = cell
+    terms = list(build_model(model, n).terms)
+    assert len(terms) <= len(coefficients)
+    target = Hamiltonian(dict(zip(terms, coefficients)))
+    aais = aais_for_device(device, n)
+    result = QTurboCompiler(aais).compile(target, duration)
+    assert result.success, result.message
+
+    scheduled = _executed_unitary(aais, result.segments, n)
+    wanted = expm(-1j * duration * _dense(target.terms, n))
+    distance = np.linalg.norm(scheduled - wanted, 2)
+
+    assert distance <= result.error_l1 * (1 + _REL_TOL) + _ABS_TOL
+    assert result.error_l1 <= result.error_bound * (1 + _REL_TOL) + _ABS_TOL
+
+
+def _baseline_grid():
+    """Cells the SimuQ-style solve finishes in well under a second.
+
+    Every Heisenberg cell, and the Rydberg chain models at n ≤ 4; the
+    ring models on Rydberg take its multi-start solve tens of seconds.
+    """
+    rydberg = [
+        ("rydberg-1d", model, n)
+        for model, n in _grid()
+        if model in ("ising_chain", "kitaev", "pxp") and n <= 4
+    ]
+    return [("heisenberg", model, n) for model, n in _grid()] + rydberg
+
+
+@pytest.mark.parametrize("duration", [0.5, 1.0])
+@pytest.mark.parametrize("device,model,n", _baseline_grid())
+def test_baseline_executed_unitary_within_its_error_l1(
+    device, model, n, duration
+):
+    aais = aais_for_device(device, n)
+    target = build_model(model, n)
+    result = SimuQStyleCompiler(aais).compile(target, duration)
+    assert result.success, result.message
+
+    scheduled = _executed_unitary(aais, result.segments, n)
+    wanted = expm(-1j * duration * _dense(target.terms, n))
+    distance = np.linalg.norm(scheduled - wanted, 2)
+
+    assert distance <= result.error_l1 * (1 + _REL_TOL) + _ABS_TOL

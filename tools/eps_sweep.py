@@ -17,7 +17,9 @@ raises is recorded as failed with the error message.
 ``--compare`` pairs two sweeps by job and prints, per device, how many
 jobs got worse, better or stayed the same in ε (compared exactly), then
 every job that got worse, largest increase first, and every job that
-changed between success and failure.
+changed between success and failure.  It exits 1 when a job changed
+between success and failure or got worse by more than
+``1e-9·max(1, |ε|)`` (the rule ``perfbench`` holds ε to), else 0.
 """
 
 from __future__ import annotations
@@ -94,8 +96,17 @@ def sweep(devices) -> dict:
     return {"devices": list(devices), "jobs": jobs}
 
 
-def compare(before: dict, after: dict) -> None:
-    """Print the per-device verdict and every job that got worse or flipped."""
+def beyond_tolerance(old: float, new: float) -> bool:
+    """True when ε rose by more than ``1e-9·max(1, |old|)``."""
+    return new - old > 1e-9 * max(1.0, abs(old))
+
+
+def compare(before: dict, after: dict) -> int:
+    """Print the per-device verdict and every job that got worse or flipped.
+
+    Returns the exit status: 1 when a job flipped between success and
+    failure or got worse beyond :func:`beyond_tolerance`, else 0.
+    """
     common = [key for key in before["jobs"] if key in after["jobs"]]
     counts = {}
     worse, flipped = [], []
@@ -117,17 +128,33 @@ def compare(before: dict, after: dict) -> None:
             tally["better"] += 1
         else:
             tally["same"] += 1
-    for device, tally in counts.items():
-        print(
-            f"{device:12s} worse {tally['worse']:4d}  better {tally['better']:4d}  "
-            f"same {tally['same']:4d}  failed in both {tally['failed']:4d}"
-        )
-    for key, old, new, delta in sorted(worse, key=lambda row: -row[3]):
-        print(f"worse   {key:36s} ε {old:.12g} -> {new:.12g} ({delta:+.2e})")
-    for key, old, new in flipped:
-        print(f"flipped {key:36s} success {old} -> {new}")
-    if not worse and not flipped:
-        print("no job got worse or changed between success and failure")
+    failing = [row for row in worse if beyond_tolerance(row[1], row[2])]
+    try:
+        for device, tally in counts.items():
+            print(
+                f"{device:12s} worse {tally['worse']:4d}  better {tally['better']:4d}  "
+                f"same {tally['same']:4d}  failed in both {tally['failed']:4d}"
+            )
+        for key, old, new, delta in sorted(worse, key=lambda row: -row[3]):
+            label = "WORSE" if beyond_tolerance(old, new) else "worse"
+            print(f"{label}   {key:36s} ε {old:.12g} -> {new:.12g} ({delta:+.2e})")
+        for key, old, new in flipped:
+            print(f"flipped {key:36s} success {old} -> {new}")
+        if failing or flipped:
+            print(
+                f"FAIL: {len(failing)} jobs worse by more than 1e-9·max(1, |ε|) "
+                f"(marked WORSE), {len(flipped)} flipped"
+            )
+        elif worse:
+            print(f"ok: {len(worse)} jobs worse, all within 1e-9·max(1, |ε|); none flipped")
+        else:
+            print("no job got worse or changed between success and failure")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader (say, ``head``) stopped early; the verdict stands.
+        # Point stdout at /dev/null so the exit-time flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 1 if failing or flipped else 0
 
 
 def main(argv=None) -> int:
@@ -139,8 +166,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         before, after = (json.loads(path.read_text()) for path in args.compare)
-        compare(before, after)
-        return 0
+        return compare(before, after)
     devices = DEVICES[:1] if args.quick else DEVICES
     result = sweep(devices)
     args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
