@@ -230,7 +230,12 @@ def _lp_block(
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> Optional[np.ndarray]:
-    """One coupled component's L1 minimum, as an exact linear program."""
+    """One coupled component's L1 minimum, as an exact linear program.
+
+    HiGHS's default feasibility tolerance (1e-7) lets it stop with δ
+    parked on a bound up to 1e-7 away from the optimum, so it runs at
+    1e-10.
+    """
     n_rows, n_cols = block.shape
     # LP:   min Σ t_k
     # s.t.  B δ − t ≤ −r
@@ -247,6 +252,10 @@ def _lp_block(
         b_ub=np.concatenate([-r, r]),
         bounds=list(zip(lower, upper)) + [(0.0, None)] * n_rows,
         method="highs",
+        options={
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+        },
     )
     if not result.success:
         return None

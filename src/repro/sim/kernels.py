@@ -17,17 +17,24 @@ over basis indices) acts as::
 
 A Hamiltonian kernel groups its all-Z terms into one precomputed real
 diagonal and splits its off-diagonal terms by support.  With
-``m = min(TAIL_QUBITS, N)``:
+``m = min(TAIL_QUBITS, N)`` and ``b = min(TAIL_QUBITS, N − m)``:
 
 * *tail* terms act only on the last ``m`` qubits (the least significant
   index bits).  Their weighted sum is one dense ``2^m × 2^m`` matrix,
   applied to a ``(rows, 2^N)`` block as a single GEMM on its
   ``(rows·2^{N−m}, 2^m)`` reshape;
-* *lead* terms touch an earlier qubit.  XOR by a flip mask reverses the
-  qubit axes inside the mask, so each lead term is a strided view-copy
-  of the ``(rows, 2, …, 2)`` tensor, an optional sign multiply and one
-  axpy.  Tail flips alone would make those copies move contiguous
-  runs of 1–16 elements; the GEMM replaces exactly them.
+* *head* terms act only on the first ``b`` qubits (the most significant
+  bits).  Their sum is a dense ``2^b × 2^b`` matrix applied from the
+  left to each row's ``(2^b, 2^{N−b})`` reshape — the same GEMM on the
+  transposed view;
+* *lead* terms touch a middle qubit or straddle two blocks.  XOR by a
+  flip mask reverses the qubit axes inside the mask, so each lead term
+  is a strided view-copy of the ``(rows, 2, …, 2)`` tensor, an optional
+  sign multiply and one axpy.  Tail flips alone would make those copies
+  move contiguous runs of 1–16 elements, and every copy re-reads the
+  whole block; each GEMM replaces all of its block's terms with one pass.
+  Single-qubit drive terms leave no lead term at N ≤ 10 and two (the
+  middle qubits') at N = 12.
 
 When every off-diagonal term has an even number of Y factors, ``H`` is
 a real symmetric matrix and the kernel runs in float64: a complex state
@@ -37,11 +44,11 @@ A kernel may also hold ``h`` Hamiltonians on one support, one
 coefficient row each (the noise realizations of a schedule segment),
 and then evolves column ``i`` of a ``(2^N, h)`` block under row ``i``:
 the diagonal is an ``(h, 2^N)`` array built by one product of cached
-sign factors, the tail a stacked ``(h, 2^m, 2^m)`` GEMM, and each lead
-term's view-copy is shared by all rows, followed by one axpy per row.
-Per-mask sign vectors and per-term-structure layouts (tail bases
-included) are memoized in process-wide LRUs
-(:func:`kernel_cache_stats`), so noise realizations that share a Pauli
+sign factors, the head and the tail stacked ``(h, 2^b, 2^b)`` and
+``(h, 2^m, 2^m)`` GEMMs, and each lead term's view-copy is shared by all
+rows, followed by one axpy per row.  Per-mask sign vectors and
+per-term-structure layouts (head and tail bases included) are memoized
+in process-wide LRUs (:func:`kernel_cache_stats`), so noise realizations that share a Pauli
 support but differ in coefficients reuse every index-arithmetic
 artifact.
 
@@ -92,19 +99,21 @@ DEFAULT_KERNEL_CACHE_SIZE = 16
 #: Default relative tolerance of the matrix-free propagator.
 DEFAULT_EXPM_TOL = 1e-10
 
-#: Off-diagonal terms supported wholly on the last ``m = min(TAIL_QUBITS,
-#: N)`` qubits are summed into one dense ``2^m × 2^m`` matrix and applied
-#: as a single GEMM; their view-copies would move contiguous runs of
-#: only 1–16 elements.  With one BLAS thread, m = 5 ran the Chebyshev
-#: recurrence 0–15% faster than m = 4 at N = 8–18 (m = 3 and 6 were
-#: slower), and ``simulate_mix`` read +4.7% (within its spread).
+#: Width of the two dense blocks.  Off-diagonal terms supported wholly
+#: on the last ``m = min(TAIL_QUBITS, N)`` qubits are summed into one
+#: dense ``2^m × 2^m`` matrix and applied as a single GEMM; their
+#: view-copies would move contiguous runs of only 1–16 elements.  Terms
+#: wholly on the first ``b = min(TAIL_QUBITS, N − m)`` qubits form the
+#: head block the same way.  With one BLAS thread, m = 5 ran the
+#: Chebyshev recurrence 0–15% faster than m = 4 at N = 8–18 (m = 3 and 6
+#: were slower), and ``simulate_mix`` read +4.7% (within its spread).
 TAIL_QUBITS = 5
 
-#: Multiply-adds per tail GEMM call.  OpenBLAS hands larger products to
+#: Multiply-adds per block GEMM call.  OpenBLAS hands larger products to
 #: its worker threads, and for these thin ``(M, 2^m) @ (2^m, 2^m)``
 #: shapes the hand-off costs more than the product: unpinned on a 2-core
-#: VM such a call took 4–8 ms against 30–140 µs on one thread.  The tail
-#: is therefore applied in row chunks of at most this many.
+#: VM such a call took 4–8 ms against 30–140 µs on one thread.  The head
+#: and tail are therefore applied in chunks of at most this many.
 _GEMM_MULTIPLY_ADDS = 1 << 19
 
 #: Bit-mask index arithmetic uses uint32 basis indices.
@@ -237,6 +246,65 @@ def _string_matrix(
     return matrix
 
 
+def _block_qubits(num_qubits: int) -> Tuple[int, int]:
+    """``(b, m)``: the head block covers the first ``b`` qubits and the
+    tail block the last ``m``; ``b = 0`` while ``N ≤ TAIL_QUBITS``."""
+    tail = min(TAIL_QUBITS, num_qubits)
+    return min(TAIL_QUBITS, num_qubits - tail), tail
+
+
+def block_matrix_bytes(num_qubits: int) -> int:
+    """Bytes of one Hamiltonian's head and tail matrices (complex128)."""
+    head, tail = _block_qubits(num_qubits)
+    return 16 * 4**tail + (16 * 4**head if head else 0)
+
+
+def _block_basis(
+    terms: List[Tuple[int, Tuple[Tuple[int, str], ...]]],
+    first: int,
+    width: int,
+    real: bool,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Slots and stacked transposed ``2^w × 2^w`` matrices of the terms
+    supported on qubits ``first … first + width − 1`` (None if none)."""
+    slots = np.array([slot for slot, _ in terms], dtype=np.intp)
+    if not terms:
+        return slots, None
+    basis = np.array(
+        [
+            _string_matrix(tuple((q - first, p) for q, p in ops), width).T
+            for _, ops in terms
+        ]
+    )
+    return slots, basis.real.copy() if real else basis
+
+
+def _block_gemm(
+    source: np.ndarray, matrices: np.ndarray, target: np.ndarray
+) -> None:
+    """``target = source @ matrices`` on stacked ``(…, n, w)`` blocks.
+
+    ``matrices`` is ``(h, w, w)`` and broadcasts over the leading axes.
+    The ``n`` axis is cut into chunks of at most ``_GEMM_MULTIPLY_ADDS``
+    multiply-adds per 2-D product; transposed views of ``source`` and
+    ``target`` are fine (NumPy hands them to BLAS with transpose flags).
+    """
+    width = matrices.shape[-1]
+    step = _GEMM_MULTIPLY_ADDS // (width * width)
+    for start in range(0, source.shape[-2], step):
+        chunk = slice(start, start + step)
+        np.matmul(source[..., chunk, :], matrices, out=target[..., chunk, :])
+
+
+def _stacked_rows(
+    coefficients: np.ndarray, slots: np.ndarray, basis: Optional[np.ndarray]
+) -> Optional[np.ndarray]:
+    """The ``(h, 2^w, 2^w)`` block matrices of ``h`` coefficient rows."""
+    if basis is None:
+        return None
+    return np.tensordot(coefficients[:, slots], basis, axes=1)
+
+
 def _sign_factors(
     masks: List[int], num_qubits: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -267,17 +335,18 @@ class _KernelStructure:
     (``diagonal_high``, ``diagonal_low``), ``O(terms · 2^{N/2})``
     memory.  Off-diagonal terms split by support:
 
-    * ``lead`` holds ``(slot, flip_slices, gamma0, sign_vector)`` for
-      terms touching any qubit below ``N − m``; ``flip_slices`` realizes
-      the term's XOR permutation as a strided view on the
-      ``(rows, 2, …, 2)`` tensor form of a row block;
     * ``tail_basis`` stacks the transposed ``2^m × 2^m`` matrices of
       the terms supported wholly on the last ``m`` qubits, at
-      coefficient slots ``tail_slots``.
+      coefficient slots ``tail_slots``;
+    * ``head_basis`` and ``head_slots`` do the same for the terms
+      supported wholly on the first ``b = min(m, N − m)`` qubits;
+    * ``lead`` holds ``(slot, flip_slices, gamma0, sign_vector)`` for
+      the rest; ``flip_slices`` realizes the term's XOR permutation as a
+      strided view on the ``(rows, 2, …, 2)`` tensor form of a row block.
 
     ``real`` is True when every off-diagonal term has an even number of
-    Y factors, i.e. ``H`` is a real symmetric matrix; the tail basis is
-    then stored as float64.  ``slot`` indexes the coefficient rows
+    Y factors, i.e. ``H`` is a real symmetric matrix; the block bases
+    are then stored as float64.  ``slot`` indexes the coefficient rows
     aligned with the sorted string order of
     :meth:`Hamiltonian.pauli_strings`.
     """
@@ -289,6 +358,8 @@ class _KernelStructure:
         "diagonal_high",
         "diagonal_low",
         "lead",
+        "head_slots",
+        "head_basis",
         "tail_slots",
         "tail_basis",
     )
@@ -299,7 +370,7 @@ class _KernelStructure:
         num_qubits: int,
     ):
         self.num_qubits = num_qubits
-        tail_qubits = min(TAIL_QUBITS, num_qubits)
+        head_qubits, tail_qubits = _block_qubits(num_qubits)
         first_tail = num_qubits - tail_qubits
         self.real = True
         diagonal_slots: List[int] = []
@@ -307,8 +378,8 @@ class _KernelStructure:
         self.lead: List[
             Tuple[int, Tuple[slice, ...], complex, Optional[np.ndarray]]
         ] = []
-        tail_slots: List[int] = []
-        tail_matrices: List[np.ndarray] = []
+        head: List[Tuple[int, Tuple[Tuple[int, str], ...]]] = []
+        tail: List[Tuple[int, Tuple[Tuple[int, str], ...]]] = []
         for slot, ops in enumerate(strings):
             flip, zy, n_y = _string_masks(ops, num_qubits)
             if flip == 0:
@@ -317,9 +388,10 @@ class _KernelStructure:
                 continue
             self.real = self.real and n_y % 2 == 0
             if ops[0][0] >= first_tail:
-                local = tuple((q - first_tail, label) for q, label in ops)
-                tail_slots.append(slot)
-                tail_matrices.append(_string_matrix(local, tail_qubits).T)
+                tail.append((slot, ops))
+                continue
+            if ops[-1][0] < head_qubits:
+                head.append((slot, ops))
                 continue
             self.lead.append(
                 (
@@ -333,16 +405,19 @@ class _KernelStructure:
         self.diagonal_high, self.diagonal_low = _sign_factors(
             diagonal_masks, num_qubits
         )
-        self.tail_slots = np.array(tail_slots, dtype=np.intp)
-        self.tail_basis: Optional[np.ndarray] = None
-        if tail_matrices:
-            basis = np.array(tail_matrices)
-            self.tail_basis = basis.real.copy() if self.real else basis
+        self.head_slots, self.head_basis = _block_basis(
+            head, 0, head_qubits, self.real
+        )
+        self.tail_slots, self.tail_basis = _block_basis(
+            tail, first_tail, tail_qubits, self.real
+        )
 
     @property
     def is_diagonal(self) -> bool:
         """True when every term is all-Z."""
-        return not self.lead and self.tail_basis is None
+        return (
+            not self.lead and self.head_basis is None and self.tail_basis is None
+        )
 
     def diagonal_rows(self, coefficients: np.ndarray) -> Optional[np.ndarray]:
         """The ``(h, 2^N)`` all-Z diagonals of ``h`` coefficient rows.
@@ -397,9 +472,10 @@ class HamiltonianKernel:
     Construction touches only ``O(h · 2^N)`` memory: the ``(h, 2^N)``
     real diagonal of the all-Z part (one product of the structure's
     cached sign factors), one int8 sign vector per lead off-diagonal
-    term (shared through the process-wide sign cache) and an
-    ``(h, 2^m, 2^m)`` tail stack (``tensordot`` of the tail coefficients
-    with the cached basis).  The ``4^N`` matrix is never formed.
+    term (shared through the process-wide sign cache) and the
+    ``(h, 2^b, 2^b)`` head and ``(h, 2^m, 2^m)`` tail stacks
+    (``tensordot`` of the block coefficients with the cached bases).
+    The ``4^N`` matrix is never formed.
 
     Internally every operation works on a row-major ``(rows, 2^N)``
     block: float64 when ``H`` is :attr:`real`, where a complex column
@@ -416,6 +492,7 @@ class HamiltonianKernel:
         "_axpy",
         "_diagonal",
         "_lead",
+        "_head",
         "_tail",
         "_offdiag_l1",
     )
@@ -474,14 +551,14 @@ class HamiltonianKernel:
             (slices, tuple((gamma0 * coefficients[:, slot]).tolist()), sign)
             for slot, slices, gamma0, sign in structure.lead
         ]
-        self._tail: Optional[np.ndarray] = None
-        if structure.tail_basis is not None:
-            self._tail = np.tensordot(
-                coefficients[:, structure.tail_slots],
-                structure.tail_basis,
-                axes=1,
-            )
+        self._head = _stacked_rows(
+            coefficients, structure.head_slots, structure.head_basis
+        )
+        self._tail = _stacked_rows(
+            coefficients, structure.tail_slots, structure.tail_basis
+        )
         offdiag_slots = [slot for slot, _, _, _ in structure.lead]
+        offdiag_slots.extend(structure.head_slots.tolist())
         offdiag_slots.extend(structure.tail_slots.tolist())
         self._offdiag_l1 = np.abs(coefficients[:, offdiag_slots]).sum(axis=1)
 
@@ -489,7 +566,7 @@ class HamiltonianKernel:
     @property
     def is_diagonal(self) -> bool:
         """True when every term is all-Z (the kernel is a diagonal)."""
-        return not self._lead and self._tail is None
+        return not self._lead and self._head is None and self._tail is None
 
     def _coerce(self, states: np.ndarray) -> np.ndarray:
         """Validate and return a C-contiguous complex view of ``states``."""
@@ -577,35 +654,39 @@ class HamiltonianKernel:
 
         The tail is one stacked GEMM on the ``(groups, h, 2^{N−m}, 2^m)``
         reshape (a single Hamiltonian folds every row into one matrix)
-        plus an axpy; each lead term is one strided view-copy, an
-        optional in-place sign multiply and an axpy per row (one axpy
-        over the whole block for a single Hamiltonian).  ``scratch`` is
-        overwritten.
+        plus an axpy; the head is the same GEMM on the transposed
+        ``(groups, h, 2^b, 2^{N−b})`` reshape, i.e. its matrix applied
+        from the left, plus an axpy.  Each lead term is one strided
+        view-copy, an optional in-place sign multiply and an axpy per row
+        (one axpy over the whole block for a single Hamiltonian).
+        ``scratch`` is overwritten.
         """
         flat_out = out.reshape(-1)
         flat_scratch = scratch.reshape(-1)
+        h = self.num_hamiltonians
         if self._tail is not None:
-            width = self._tail.shape[-1]
-            h = self.num_hamiltonians
             groups = 1 if h == 1 else rows.size // self.dim // h
-            source = rows.reshape(groups, h, -1, width)
-            target = scratch.reshape(source.shape)
-            step = _GEMM_MULTIPLY_ADDS // (width * width)
-            for start in range(0, source.shape[2], step):
-                chunk = slice(start, start + step)
-                np.matmul(
-                    source[:, :, chunk], self._tail, out=target[:, :, chunk]
-                )
+            shape = (groups, h, -1, self._tail.shape[-1])
+            _block_gemm(rows.reshape(shape), self._tail, scratch.reshape(shape))
+            self._axpy(flat_scratch, flat_out, a=scale)
+        if self._head is not None:
+            width = self._head.shape[-1]
+            shape = (-1, h, width, self.dim // width)
+            _block_gemm(
+                rows.reshape(shape).swapaxes(2, 3),
+                self._head,
+                scratch.reshape(shape).swapaxes(2, 3),
+            )
             self._axpy(flat_scratch, flat_out, a=scale)
         if not self._lead:
             return
         shape = (-1,) + (2,) * self.num_qubits
         source = rows.reshape(shape)
         target = scratch.reshape(shape)
-        pieces = 1 if self.num_hamiltonians == 1 else rows.size // self.dim
+        pieces = 1 if h == 1 else rows.size // self.dim
         scratch_rows = scratch.reshape(pieces, -1)
         out_rows = out.reshape(pieces, -1)
-        repeats = pieces // self.num_hamiltonians
+        repeats = pieces // h
         for slices, coefficients, sign in self._lead:
             np.copyto(target, source[slices])
             if sign is not None:

@@ -32,7 +32,7 @@ from scipy.linalg import expm
 from repro.errors import SimulationError
 from repro.hamiltonian.expression import Hamiltonian
 from repro.sim.kernels import (
-    TAIL_QUBITS,
+    block_matrix_bytes,
     clear_kernel_caches,
     configure_kernel_caches,
     kernel_cache_stats,
@@ -135,8 +135,9 @@ def matrix_free_block_columns(
     Each column costs about eight block-sized complex buffers: the
     input, the output and the Chebyshev recurrence's five row blocks
     plus a transpose.  Each Hamiltonian of the kernel adds its per-row
-    diagonal, the scaled and the doubled diagonal (float64 each) and its
-    ``2^m × 2^m`` tail matrix.  A shared Hamiltonian pays that once per
+    diagonal, the scaled and the doubled diagonal (float64 each), its
+    ``2^m × 2^m`` tail matrix and, when ``b = min(m, N − m) > 0``, its
+    ``2^b × 2^b`` head matrix.  A shared Hamiltonian pays that once per
     chunk; with ``hamiltonian_per_column`` (noise realizations, one
     coefficient row per column) every column pays it.  Wide blocks are
     propagated in chunks sized to keep the whole working set inside the
@@ -144,7 +145,7 @@ def matrix_free_block_columns(
     """
     dim = 1 << num_qubits
     column = 8 * dim * 16
-    hamiltonian = 3 * dim * 8 + 16 * 4 ** min(TAIL_QUBITS, num_qubits)
+    hamiltonian = 3 * dim * 8 + block_matrix_bytes(num_qubits)
     budget = _limits["memory_budget_bytes"]
     if hamiltonian_per_column:
         return int(max(1, budget // (column + hamiltonian)))

@@ -220,6 +220,19 @@ def kernel_case(name: str, n: int, rng: np.random.Generator) -> Hamiltonian:
         pair = PauliString({n - m - 1: "X", n - m: "X"})
         tail = PauliString({n - m: "Y", n - 1: "Z"} if m > 1 else {n - 1: "X"})
         return _weighted(rng, [pair, tail, PauliString.single("X", n - 1)] + zs)
+    if name in ("head", "head_y"):  # head-only terms and both straddles
+        b = min(TAIL_QUBITS, n - m)
+        head = [PauliString.single("X", q) for q in range(b)]
+        if b > 1:  # an even-Y pair keeps the head matrix real
+            head.append(PauliString({0: "Y", b - 1: "Y"}))
+        if name == "head_y":  # one Y makes the head matrix complex
+            head.append(PauliString({0: "Y"} if b == 1 else {0: "Y", 1: "Z"}))
+        straddles = [
+            PauliString({b - 1: "X", b: "X"}),  # head/middle (head/tail at N ≤ 10)
+            PauliString({0: "Z", n - 1: "X"}),  # head/tail
+        ]
+        tail = [PauliString.single("X", n - 1)]
+        return _weighted(rng, head + straddles + tail + zs)
     if name == "all_z":
         return _weighted(rng, zs + [PauliString({0: "Z", n - 1: "Z"})])
     raise ValueError(name)
@@ -245,6 +258,13 @@ KERNEL_CASES = [
     ("real", 2, "real"),
     ("complex", 3, "complex"),
     ("real", 3, "complex"),
+    ("head", 6, "complex"),  # a one-qubit head
+    ("head_y", 6, "real"),
+    ("head", 10, "real"),  # no middle: the straddles cross head and tail
+    ("head_y", 10, "complex"),
+    ("head", 12, "complex"),  # a two-qubit middle
+    ("head_y", 12, "real"),
+    ("head_y", 15, "complex"),  # 2^(N-b) = 1024 columns: the head GEMM chunks
 ]
 
 
@@ -271,7 +291,13 @@ ROW_CASES = [
     ("all_z", 7, "complex"),
     ("real", 3, "complex"),
     ("real", 15, "complex"),  # 2^(N-m) = 1024 rows: the tail GEMM chunks
+    ("head", 6, "real"),
+    ("head_y", 10, "complex"),
+    ("head", 12, "complex"),
+    ("head_y", 15, "complex"),  # a chunked (h, 2^b, 2^b) head stack
 ]
+
+HEAD_ROW_CASES = [case for case in ROW_CASES if case[0].startswith("head")]
 
 
 class TestRowKernelEquivalence:
@@ -321,6 +347,49 @@ class TestRowKernelEquivalence:
         kernel = HamiltonianKernel(kernel_case("straddle", n, np.random.default_rng(4)), n)
         assert len(kernel._lead) == 1  # the straddling XX
         assert kernel._tail.shape == (1, 2**m, 2**m)  # one Hamiltonian row
+        assert kernel._head is None  # no term lies wholly on qubits 0-3
+
+    @pytest.mark.parametrize("n", [6, 10, 12, 15])
+    def test_terms_split_between_head_lead_and_tail(self, n):
+        """Terms wholly on the first min(m, N − m) qubits join the head
+        GEMM; only the two straddles stay view-copy lead terms."""
+        m = min(TAIL_QUBITS, n)
+        b = min(TAIL_QUBITS, n - m)
+        rng = np.random.default_rng(n)
+        kernel, _ = kernel_rows("head_y", n, 3, rng)
+        assert kernel._head.shape == (3, 2**b, 2**b)
+        assert kernel._tail.shape == (3, 2**m, 2**m)
+        assert len(kernel._lead) == 2
+        assert not kernel.real  # the odd-Y head term
+
+    @pytest.mark.parametrize("n,lead", [(6, 0), (8, 0), (10, 0), (12, 2)])
+    def test_drive_keeps_only_middle_terms_as_lead(self, n, lead):
+        """A Rydberg-style drive (X and Z fields, ZZ bonds) leaves view
+        copies only for the X fields on the middle qubits."""
+        strings = [PauliString.single(p, q) for q in range(n) for p in "XZ"]
+        strings += [PauliString({q: "Z", q + 1: "Z"}) for q in range(n - 1)]
+        kernel = HamiltonianKernel(_weighted(np.random.default_rng(n), strings), n)
+        assert len(kernel._lead) == lead
+
+    @pytest.mark.parametrize("case,n,state_kind", HEAD_ROW_CASES)
+    def test_head_rows_match_references(
+        self, case, n, state_kind, exact_evolve
+    ):
+        """A kernel of h = 3 rows with a head stack, column by column
+        against the per-term loop and ``exact_evolve``."""
+        rng = np.random.default_rng(n * 7 + 2)
+        kernel, hams = kernel_rows(case, n, 3, rng)
+        block = kernel_state(state_kind, n, 3, rng)
+        applied = kernel.apply(block)
+        evolved = kernel_expm_multiply(kernel, block, 0.3, tol=1e-14)
+        for col, ham in enumerate(hams):
+            column = block[:, col : col + 1]
+            reference = per_term_apply(ham, column, n)[:, 0]
+            assert np.abs(applied[:, col] - reference).max() <= 1e-12
+            exact = exact_evolve(column, ham, 0.3, n)[:, 0]
+            assert np.abs(evolved[:, col] - exact).max() <= 1e-12
+            reference = reference_chebyshev(ham, column, 0.3, n)[:, 0]
+            assert np.abs(evolved[:, col] - reference).max() <= 1e-12
 
 
     # h > 1: a kernel of h coefficient rows against h single kernels.

@@ -2,9 +2,10 @@
 
 import threading
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import lsq_linear
@@ -165,6 +166,27 @@ def _target_system(device, model, n, options=None):
     return GlobalLinearSystem(aais.channels, extra_terms=tuple(sorted(b))), b
 
 
+def _min_norm_solve(matrix, b):
+    """``(M⁺ b, cond(M))`` from a 50-digit SVD of ``M``.
+
+    Singular values below ``1e-40·σ_max`` count as zero (an exactly
+    rank-deficient float64 matrix leaves ~1e-50 there); ``cond`` is the
+    ratio of the largest to the smallest kept one (1 for ``M = 0``).
+    """
+    with mpmath.workdps(50):
+        u, s, v = mpmath.svd_r(mpmath.matrix(matrix.tolist()))
+        values = [s[i] for i in range(len(s))]
+        top = max(values, default=mpmath.mpf(0))
+        kept = [i for i, value in enumerate(values) if value > top * 1e-40]
+        x = mpmath.matrix(matrix.shape[1], 1)
+        for i in kept:
+            weight = sum(u[k, i] * b[k] for k in range(len(b))) / values[i]
+            for j in range(matrix.shape[1]):
+                x[j] += weight * v[i, j]
+        cond = float(top / min(values[i] for i in kept)) if kept else 1.0
+        return np.array([float(value) for value in x]), cond
+
+
 def _relative_gap(alpha, reference):
     return np.linalg.norm(alpha - reference) / max(
         np.linalg.norm(reference), 1e-300
@@ -195,14 +217,18 @@ class TestBlockSolve:
             np.abs(system.matrix @ reference - b).sum(), abs=1e-12
         )
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         rows=st.integers(min_value=1, max_value=12),
         cols=st.integers(min_value=1, max_value=12),
         density=st.floats(min_value=0.05, max_value=0.5),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
+    @example(rows=12, cols=11, density=0.25, seed=2846517)  # cond 1.2e8
     def test_random_sparse_matches_pinv(self, rows, cols, density, seed):
+        """Against a 50-digit minimum-norm solve, within the forward
+        error a backward-stable solve can reach: ``C·cond(M)·ε`` with
+        C = 32, never looser than 1e-9 (so 1e-9 up to cond ≈ 1.4e5)."""
         rng = np.random.default_rng(seed)
         matrix = sparse.random(
             rows, cols, density=density, format="csr", random_state=rng,
@@ -210,8 +236,9 @@ class TestBlockSolve:
         )
         b = rng.normal(size=rows)
         alpha = BlockPlan.of(matrix).solve(b)
-        reference = np.linalg.pinv(matrix.toarray()) @ b
-        assert _relative_gap(alpha, reference) <= 1e-9
+        reference, cond = _min_norm_solve(matrix.toarray(), b)
+        bound = max(1e-9, 32 * cond * np.finfo(float).eps)
+        assert _relative_gap(alpha, reference) <= bound
 
     def test_hand_built_blocks(self):
         def channel(name, terms):

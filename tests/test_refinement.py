@@ -170,6 +170,21 @@ class TestClosedForm:
             delta, _, _ = _minimize_l1(_entries(dense), r, lower, upper)
             assert delta[0] == wanted
 
+    def test_shared_row_optimum_near_a_bound(self):
+        """Two columns share a row, so the LP path runs; the optimum
+        δ = 0 sits 5e-8 inside both upper bounds, where HiGHS at its
+        default 1e-7 feasibility tolerance stops on the bounds (ℓ1 3e-7)."""
+        dense = np.array(
+            [[-1.0, -1.0], [-1.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [0.0, -1.0]]
+        )
+        r = np.zeros(5)
+        lower, upper = np.array([-1.0, -1.0]), np.array([5e-8, 5e-8])
+        delta, closed_form, lp = _minimize_l1(_entries(dense), r, lower, upper)
+        assert (closed_form, lp) == (0, 1)
+        reference = _reference_lp(dense, r, lower, upper)
+        assert np.abs(delta - reference).max() <= 1e-12
+        assert _l1(dense, delta, r) <= _l1(dense, reference, r) + 1e-12
+
     def test_column_without_rows_stays_nearest_zero(self):
         dense = np.zeros((2, 2))
         r = np.array([1.0, 2.0])

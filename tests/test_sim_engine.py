@@ -707,7 +707,9 @@ class TestBatchedRealizations:
         block = random_block(np.random.default_rng(6), n, k)
         unchunked = evolve_realizations(block, schedule, arrays)
         dim = 2**n
+        # Eight block buffers, three diagonals, the tail and head matrices.
         column = 8 * dim * 16 + 3 * dim * 8 + 16 * 4**TAIL_QUBITS
+        column += 16 * 4 ** min(TAIL_QUBITS, n - TAIL_QUBITS)
         try:
             configure_simulation_caches(memory_budget_bytes=3 * column)
             assert matrix_free_block_columns(n, hamiltonian_per_column=True) == 3
