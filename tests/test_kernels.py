@@ -297,8 +297,6 @@ ROW_CASES = [
     ("head_y", 15, "complex"),  # a chunked (h, 2^b, 2^b) head stack
 ]
 
-HEAD_ROW_CASES = [case for case in ROW_CASES if case[0].startswith("head")]
-
 
 class TestRowKernelEquivalence:
     """The GEMM tail, lead view-copies and real-row recurrence against
@@ -371,27 +369,6 @@ class TestRowKernelEquivalence:
         kernel = HamiltonianKernel(_weighted(np.random.default_rng(n), strings), n)
         assert len(kernel._lead) == lead
 
-    @pytest.mark.parametrize("case,n,state_kind", HEAD_ROW_CASES)
-    def test_head_rows_match_references(
-        self, case, n, state_kind, exact_evolve
-    ):
-        """A kernel of h = 3 rows with a head stack, column by column
-        against the per-term loop and ``exact_evolve``."""
-        rng = np.random.default_rng(n * 7 + 2)
-        kernel, hams = kernel_rows(case, n, 3, rng)
-        block = kernel_state(state_kind, n, 3, rng)
-        applied = kernel.apply(block)
-        evolved = kernel_expm_multiply(kernel, block, 0.3, tol=1e-14)
-        for col, ham in enumerate(hams):
-            column = block[:, col : col + 1]
-            reference = per_term_apply(ham, column, n)[:, 0]
-            assert np.abs(applied[:, col] - reference).max() <= 1e-12
-            exact = exact_evolve(column, ham, 0.3, n)[:, 0]
-            assert np.abs(evolved[:, col] - exact).max() <= 1e-12
-            reference = reference_chebyshev(ham, column, 0.3, n)[:, 0]
-            assert np.abs(evolved[:, col] - reference).max() <= 1e-12
-
-
     # h > 1: a kernel of h coefficient rows against h single kernels.
     @pytest.mark.parametrize("case,n,state_kind", ROW_CASES)
     def test_apply_matches_single_kernels(self, case, n, state_kind):
@@ -407,7 +384,9 @@ class TestRowKernelEquivalence:
             assert np.abs(got[:, col] - reference).max() <= 1e-12
 
     @pytest.mark.parametrize("case,n,state_kind", ROW_CASES)
-    def test_chebyshev_matches_single_kernels(self, case, n, state_kind):
+    def test_chebyshev_matches_single_kernels(
+        self, case, n, state_kind, exact_evolve
+    ):
         rng = np.random.default_rng(n * 7 + 1)
         h = 3
         kernel, hams = kernel_rows(case, n, h, rng)
@@ -415,10 +394,15 @@ class TestRowKernelEquivalence:
         duration = 0.2 if n > 12 else 0.7
         got = kernel_expm_multiply(kernel, block, duration, tol=1e-14)
         for col, ham in enumerate(hams):
+            column = block[:, col : col + 1]
             single = kernel_expm_multiply(
                 HamiltonianKernel(ham, n), block[:, col], duration, tol=1e-14
             )
             assert np.abs(got[:, col] - single).max() <= 1e-12
+            exact = exact_evolve(column, ham, duration, n)[:, 0]
+            assert np.abs(got[:, col] - exact).max() <= 1e-12
+            reference = reference_chebyshev(ham, column, duration, n)[:, 0]
+            assert np.abs(got[:, col] - reference).max() <= 1e-12
 
     def test_bounds_are_the_union_of_the_rows(self):
         rng = np.random.default_rng(5)

@@ -1,8 +1,8 @@
 """Unit tests for the global linear equation system (Section 4.1)."""
 
 import threading
+from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -166,25 +166,47 @@ def _target_system(device, model, n, options=None):
     return GlobalLinearSystem(aais.channels, extra_terms=tuple(sorted(b))), b
 
 
-def _min_norm_solve(matrix, b):
-    """``(M⁺ b, cond(M))`` from a 50-digit SVD of ``M``.
+def _rref(rows):
+    """The nonzero rows of the reduced row-echelon form of ``rows``,
+    lists of ``Fraction`` reduced in exact arithmetic."""
+    pending, reduced = [list(row) for row in rows], []
+    for col in range(len(pending[0]) if pending else 0):
+        pivot = next((row for row in pending if row[col]), None)
+        if pivot is None:
+            continue
+        pending.remove(pivot)
+        pivot = [value / pivot[col] for value in pivot]
+        pending = [[v - row[col] * p for v, p in zip(row, pivot)] for row in pending]
+        reduced = [[v - row[col] * p for v, p in zip(row, pivot)] for row in reduced]
+        reduced.append(pivot)
+    return reduced
 
-    Singular values below ``1e-40·σ_max`` count as zero (an exactly
-    rank-deficient float64 matrix leaves ~1e-50 there); ``cond`` is the
-    ratio of the largest to the smallest kept one (1 for ``M = 0``).
+
+def _min_norm_solve(matrix, b):
+    """``(M⁺ b, cond(M))`` with ``M⁺ b`` in exact rational arithmetic.
+
+    Float64 entries are exact rationals.  The reduced echelon rows ``B``
+    of ``M`` are a basis of its row space, so ``A = M Bᵀ`` has full
+    column rank and ``x = Bᵀ z`` with ``(AᵀA) z = Aᵀ b`` is the
+    least-squares solution lying in ``row(M)``: the minimum-norm one.
+    ``cond`` is ``σ₁/σ_r`` over the exact rank ``r`` (1 for ``M = 0``).
     """
-    with mpmath.workdps(50):
-        u, s, v = mpmath.svd_r(mpmath.matrix(matrix.tolist()))
-        values = [s[i] for i in range(len(s))]
-        top = max(values, default=mpmath.mpf(0))
-        kept = [i for i, value in enumerate(values) if value > top * 1e-40]
-        x = mpmath.matrix(matrix.shape[1], 1)
-        for i in kept:
-            weight = sum(u[k, i] * b[k] for k in range(len(b))) / values[i]
-            for j in range(matrix.shape[1]):
-                x[j] += weight * v[i, j]
-        cond = float(top / min(values[i] for i in kept)) if kept else 1.0
-        return np.array([float(value) for value in x]), cond
+    exact = [[Fraction(float(value)) for value in row] for row in matrix]
+    rhs = [Fraction(float(value)) for value in b]
+    basis = _rref(exact)
+    rank = len(basis)
+    if rank == 0:
+        return np.zeros(matrix.shape[1]), 1.0
+    a = [[sum(m * q for m, q in zip(row, base)) for base in basis] for row in exact]
+    normal = [
+        [sum(row[i] * row[j] for row in a) for j in range(rank)]
+        + [sum(row[i] * value for row, value in zip(a, rhs))]
+        for i in range(rank)
+    ]
+    z = [row[-1] for row in _rref(normal)]
+    x = [sum(z[i] * basis[i][j] for i in range(rank)) for j in range(matrix.shape[1])]
+    sigma = np.linalg.svd(matrix, compute_uv=False)
+    return np.array([float(value) for value in x]), float(sigma[0] / sigma[rank - 1])
 
 
 def _relative_gap(alpha, reference):
@@ -226,7 +248,7 @@ class TestBlockSolve:
     )
     @example(rows=12, cols=11, density=0.25, seed=2846517)  # cond 1.2e8
     def test_random_sparse_matches_pinv(self, rows, cols, density, seed):
-        """Against a 50-digit minimum-norm solve, within the forward
+        """Against an exact minimum-norm solve, within the forward
         error a backward-stable solve can reach: ``C·cond(M)·ε`` with
         C = 32, never looser than 1e-9 (so 1e-9 up to cond ≈ 1.4e5)."""
         rng = np.random.default_rng(seed)
